@@ -5,6 +5,7 @@ Library layout:
 - ``graphs``: the weighted interior/boundary graph and its validation.
 - ``calculus``: p(x)-gradient, p(x)-Laplacian, integration, norm, splitting.
 - ``model``: exponent/potential fields, nonlinearities, growth envelopes.
+- ``quadrature``: the primitive F of nonlinearities without a closed form.
 - ``energy``: the action functional, exact gradient, solution residuals.
 - ``bounds``: norm inequalities, lambda thresholds, regime classification.
 - ``solver``: constrained descent, mountain pass, KKT, positivity.

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import plap
 from plap import (
     DirichletFunction,
     ExponentField,
@@ -11,6 +15,12 @@ from plap import (
     instance_constants,
     lambda_thresholds,
     signed_power,
+)
+
+# Tests that run `python -m plap` in a child process need the package this
+# process imported, whether PYTHONPATH or pytest's `pythonpath` supplied it.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(plap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
 )
 
 

@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from plap import fixture_path, load_problem, parse_problem, spec_to_document
+from plap import (
+    DirichletFunction,
+    fixture_path,
+    load_problem,
+    parse_problem,
+    residual_original,
+    spec_to_document,
+    verify_positive,
+)
 from plap.cli import main
 from plap.errors import InvariantError, ParseError, SchemaError
 from plap.problem_io import parse_document
@@ -144,6 +152,21 @@ def test_solve_command(capsys):
         assert sol["positive"] is True
         assert sol["residual_original"] <= 1e-8
     assert doc["seed"] == 1
+
+
+def test_solve_steep_fixture_end_to_end(capsys):
+    path = str(fixture_path("triangle_pendant_steep.json"))
+    code, out, _ = run_cli(["solve", path], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    spec = load_problem(path).spec
+    assert any(sol["kind"] == "Minimizer" for sol in doc["solutions"])
+    # Re-certify from the reported values alone.  The mountain pass may end
+    # uncertified here; its note in the diagnostics is allowed.
+    for sol in doc["solutions"]:
+        u = DirichletFunction.from_dict(spec.graph, sol["values"])
+        assert residual_original(spec, u) <= 1e-8
+        assert verify_positive(spec, u).passed
 
 
 def test_certify_command_pass(capsys, tmp_path):

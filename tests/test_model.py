@@ -1,5 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from plap import (
     ArctanPower,
@@ -220,3 +224,62 @@ def test_custom_nonlinearity_with_closed_primitive():
                            primitive_fn=lambda x, t: t * t + t)
     assert eval_f(f, "v1", 3.0) == 7.0
     assert primitive_F(f, "v1", 3.0) == 12.0
+
+
+def steep_arctan_power(g):
+    m, phi, psi = triangle_fields(g, lambda i: {1: 2, 2: 10, 3: 30}[i])
+    return ArctanPower(g, m=m, phi=phi, psi=psi)
+
+
+def test_arctan_power_primitive_matches_40_digit_quadrature():
+    g = make_triangle_pendant_graph()
+    f = steep_arctan_power(g)
+    worst = 0.0
+    with mp.workdps(40):
+        for t in (1e-6, 3e-4, 0.4, 1.0, 3.5, 7.0, 12.0):
+            got = f.primitive_vector(np.full(3, t))
+            T = mpf(t)
+            cuts = [mpf(0)] + [k * mp.pi for k in range(1, int(t / math.pi) + 1)] + [T]
+            for i in range(3):
+                m, phi, psi = (mpf(float(a[i])) for a in (f.m, f.phi, f.psi))
+
+                def rate(s):
+                    return ((s + 1) ** (1 - mp.exp(-s * s) + m) * (2 / mp.pi * mp.atan(s) + phi)
+                            + abs(mp.sin(s)) + psi + 1)
+
+                ref = mp.quad(rate, cuts)
+                worst = max(worst, float(abs((mpf(float(got[i])) - ref) / ref)))
+    assert worst <= 2e-14, worst
+
+
+def test_gauss_legendre_tables_integrate_polynomials_exactly():
+    from plap.quadrature import W10, W20, X10, X20
+    for x, w in ((X10, W10), (X20, W20)):
+        for k in range(2 * len(x)):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(float(np.sum(w * x ** k)) - exact) <= 2e-15, (len(x), k)
+
+
+def test_primitive_F_is_bitwise_the_primitive_vector_entry():
+    from plap.model import CustomNonlinearity
+    g = make_triangle_pendant_graph()
+    custom = CustomNonlinearity(g, lambda x, t: (1.0 + t) ** int(x[1:]) + abs(math.sin(t)))
+    # one, two and four panels, two of them bisected; then no panel at all
+    for t in (np.array([0.3, 4.0, 11.0]), np.zeros(3)):
+        for f in (steep_arctan_power(g), custom):
+            vec = f.primitive_vector(t)
+            for i, x in enumerate(g.interior):
+                assert primitive_F(f, x, float(t[i])) == vec[i]
+
+
+def test_quadrature_failure_on_non_finite_integrand():
+    from plap.model import CustomNonlinearity
+    from plap.errors import QuadratureFailure
+    g = make_path_graph()
+    f = CustomNonlinearity(g, lambda x, t: math.inf if t > 0.9 else 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            primitive_F(f, "v1", 1.0)
+        with pytest.raises(QuadratureFailure, match="non-finite"):
+            f.primitive_vector(np.array([2.0]))

@@ -3,12 +3,15 @@
 Library layout:
 
 - ``graphs``: the weighted interior/boundary graph and its validation.
-- ``calculus``: p(x)-gradient, p(x)-Laplacian, integration, norm, splitting.
+- ``calculus``: the edge flux of the p(x)-Laplacian (one kernel for operator,
+  gradient, residual and pairings), integration, norm, splitting.
 - ``model``: exponent/potential fields, nonlinearities, growth envelopes.
 - ``quadrature``: the primitive F of nonlinearities without a closed form.
 - ``energy``: the action functional, exact gradient, solution residuals.
 - ``bounds``: norm inequalities, lambda thresholds, regime classification.
 - ``solver``: constrained descent, mountain pass, KKT, positivity.
+- ``problem_io``: JSON problem documents, fixtures, solution parsing.
+- ``reporting``: JSON reports, certificates and CSV cells.
 - ``cli``: the ``plap`` command.
 """
 

@@ -1,9 +1,9 @@
 """Discrete p(x)-calculus on a weighted graph.
 
-Implements the directional derivative kernel, the p(x)-gradient and
-p(x)-Laplacian, graph integration, the Green-type pairing, and the norm /
-sign-splitting machinery of the Dirichlet space A (functions vanishing on
-the boundary).
+Implements the edge flux of the p(x)-Laplacian (one kernel for the operator,
+energy gradient, residual and pairings), the p(x)-gradient and p(x)-Laplacian
+at a vertex, graph integration, the Green-type pairing, and the norm /
+sign-splitting machinery of the Dirichlet space A (zero on the boundary).
 """
 
 from __future__ import annotations
@@ -96,25 +96,44 @@ def _as_values(u) -> np.ndarray:
     return u.values if isinstance(u, VertexFunction) else np.asarray(u, dtype=float)
 
 
+def edge_flux(g: Graph, p_rows: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """a_k = |u(r)-u(c)|^(p(r)-2) (u(r)-u(c)) w(r,c) over ``g.ordered_pairs``.
+
+    The one edge term of the p(x)-Laplacian (``p_rows`` is p at the rows):
+    ``minus_laplacian`` sums it per row, the gradient of J takes half its row
+    sums minus half its column sums, and ``edge_pairing`` pairs it with v.
+    """
+    rows, cols, w = g.ordered_pairs
+    return _signed_power_vec(uv[rows] - uv[cols], p_rows) * w
+
+
+def minus_laplacian(g: Graph, a: np.ndarray) -> np.ndarray:
+    """-lap_p u at every vertex, boundary included, from its edge flux ``a``."""
+    return np.bincount(g.ordered_pairs[0], weights=a, minlength=g.n_vertices)
+
+
+def edge_pairing(g: Graph, a: np.ndarray, vv: np.ndarray) -> float:
+    """sum over ordered pairs of a_k (v(r) - v(c))."""
+    rows, cols, _ = g.ordered_pairs
+    return float(np.sum(a * (vv[rows] - vv[cols])))
+
+
+def _flux(g: Graph, p: "ExponentField", u) -> np.ndarray:
+    return edge_flux(g, np.asarray(p.values)[g.ordered_pairs[0]], _as_values(u))
+
+
 def p_gradient(g: Graph, p: "ExponentField", u: VertexFunction, x: VertexId) -> np.ndarray:
     """Gradient vector at x: component y is |u(y)-u(x)|^(p(x)-2) (u(y)-u(x)) sqrt(w(x,y))."""
-    i = g.index_of(x)
-    uv = _as_values(u)
-    d = uv - uv[i]
-    px = float(p.values[i])
-    return _signed_power_vec(d, px) * np.sqrt(g.weights[i])
+    rows, cols, w = g.ordered_pairs
+    at_x = rows == g.index_of(x)
+    out = np.zeros(g.n_vertices)
+    out[cols[at_x]] = -(_flux(g, p, u) / np.sqrt(w))[at_x]
+    return out
 
 
 def p_laplacian(g: Graph, p: "ExponentField", u: VertexFunction, x: VertexId) -> float:
     """Sum over y of |u(y)-u(x)|^(p(x)-2) (u(y)-u(x)) w(x,y)."""
-    i = g.index_of(x)
-    uv = _as_values(u)
-    nbrs = g.neighbors[i]
-    if nbrs.size == 0:
-        return 0.0
-    d = uv[nbrs] - uv[i]
-    px = float(p.values[i])
-    return float(np.sum(_signed_power_vec(d, px) * g.weights[i, nbrs]))
+    return -float(minus_laplacian(g, _flux(g, p, u))[g.index_of(x)])
 
 
 def integrate(g: Graph, v: VertexFunction) -> float:
@@ -125,23 +144,16 @@ def integrate(g: Graph, v: VertexFunction) -> float:
 def green_pairing(
     g: Graph, p: "ExponentField", u: VertexFunction, v: VertexFunction
 ) -> tuple[float, float]:
-    """Both sides of the pairing identity, computed independently.
+    """Both sides of the pairing identity, from the edge flux a of u.
 
-    lhs = 2 * sum_x (-lap_p u(x)) v(x); rhs pairs the p(x)-gradient of u with
-    the plain gradient of v, summed over ordered vertex pairs.  The two sides
-    agree when the exponent field is uniform; with per-vertex exponents the
-    double sum is no longer symmetrizable and they generally differ.
+    lhs = 2 * sum_x (-lap_p u(x)) v(x); rhs = sum_k a_k (v(r) - v(c)) pairs
+    the p(x)-gradient of u with the plain gradient of v.  The two sides agree
+    when the exponent field is uniform; with per-vertex exponents the double
+    sum is no longer symmetrizable and they generally differ.
     """
-    uv = _as_values(u)
     vv = _as_values(v)
-    lhs = 2.0 * math.fsum(
-        -p_laplacian(g, p, u, x) * vv[i] for i, x in enumerate(g.vertices)
-    )
-    rows, cols, w = g.ordered_pairs
-    d = uv[cols] - uv[rows]
-    p_rows = np.asarray(p.values)[rows]
-    rhs = float(np.sum(_signed_power_vec(d, p_rows) * (vv[cols] - vv[rows]) * w))
-    return lhs, rhs
+    a = _flux(g, p, u)
+    return 2.0 * float(np.dot(minus_laplacian(g, a), vv)), edge_pairing(g, a, vv)
 
 
 def norm(u: VertexFunction) -> float:
@@ -149,14 +161,7 @@ def norm(u: VertexFunction) -> float:
     return float(np.sqrt(np.sum(_as_values(u) ** 2)))
 
 
-def positive_part(u: DirichletFunction) -> DirichletFunction:
-    return DirichletFunction(u.graph, np.maximum(u.values, 0.0))
-
-
-def negative_part(u: DirichletFunction) -> DirichletFunction:
-    return DirichletFunction(u.graph, np.maximum(-u.values, 0.0))
-
-
 def norm_and_parts(u: DirichletFunction) -> tuple[float, DirichletFunction, DirichletFunction]:
     """(||u||, u_plus, u_minus); both parts vanish on the boundary again."""
-    return norm(u), positive_part(u), negative_part(u)
+    return (norm(u), DirichletFunction(u.graph, np.maximum(u.values, 0.0)),
+            DirichletFunction(u.graph, np.maximum(-u.values, 0.0)))

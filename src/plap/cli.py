@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import classify_regime, lambda_thresholds
-from .calculus import DirichletFunction
+from .calculus import VertexFunction
 from .energy import residual_original
 from .errors import (
     DegenerateExponent,
@@ -208,7 +208,7 @@ def _cmd_certify(args) -> int:
     doc = load_problem(args.file)
     spec = doc.spec
     values = parse_solution(args.solution, spec.graph)
-    u = DirichletFunction.from_dict(spec.graph, values, default=0.0)
+    u = VertexFunction.from_dict(spec.graph, values, default=0.0)
     positivity = verify_positive(spec, u)
     residual = None
     note = ""

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import DirichletFunction, _signed_power_vec, p_laplacian, signed_power
+from .calculus import (DirichletFunction, VertexFunction, _as_values, _signed_power_vec,
+                       edge_flux, minus_laplacian)
 from .errors import NegativeArgument
 from .model import ProblemSpec
 
@@ -57,10 +58,11 @@ def _source_primitive(spec: ProblemSpec, ui: np.ndarray) -> np.ndarray:
     return vals
 
 
-def energy(spec: ProblemSpec, u: DirichletFunction) -> EnergyBreakdown:
-    """Evaluate J term by term in the rewritten double-sum form."""
+def energy(spec: ProblemSpec, u: DirichletFunction | np.ndarray) -> EnergyBreakdown:
+    """Evaluate J term by term in the rewritten double-sum form; ``u`` is a
+    DirichletFunction or a plain array of every vertex value."""
     g = spec.graph
-    uv = u.values
+    uv = _as_values(u)
     rows, cols, w = g.ordered_pairs
     p_rows = spec._p_rows
     with np.errstate(over="ignore"):
@@ -73,20 +75,19 @@ def energy(spec: ProblemSpec, u: DirichletFunction) -> EnergyBreakdown:
     return EnergyBreakdown(dirichlet, potential, source)
 
 
-def energy_value(spec: ProblemSpec, u: DirichletFunction) -> float:
+def energy_value(spec: ProblemSpec, u: DirichletFunction | np.ndarray) -> float:
     return energy(spec, u).total
 
 
-def _gradient_values(spec: ProblemSpec, uv: np.ndarray) -> np.ndarray:
-    """Gradient of J as a full vertex array (zero on the boundary)."""
+def gradient_values(spec: ProblemSpec, uv: np.ndarray) -> np.ndarray:
+    """Gradient of J as a full vertex array (zero on the boundary); its
+    Dirichlet part is half the edge flux summed per row minus per column."""
     g = spec.graph
-    rows, cols, w = g.ordered_pairs
     n = g.n_vertices
     with np.errstate(over="ignore", invalid="ignore"):
-        a = _signed_power_vec(uv[rows] - uv[cols], spec._p_rows) * w
+        a = edge_flux(g, spec._p_rows, uv)
         diff_part = 0.5 * (
-            np.bincount(rows, weights=a, minlength=n)
-            - np.bincount(cols, weights=a, minlength=n)
+            minus_laplacian(g, a) - np.bincount(g.ordered_pairs[1], weights=a, minlength=n)
         )
         ui = uv[: g.n_interior]
         pi = spec.p.interior()
@@ -105,7 +106,7 @@ def gradient_residual(spec: ProblemSpec, u: DirichletFunction) -> DirichletFunct
     Components on the boundary are zero.  A critical point of J is exactly a
     zero of this vector.
     """
-    return DirichletFunction(spec.graph, _gradient_values(spec, u.values))
+    return DirichletFunction(spec.graph, gradient_values(spec, u.values))
 
 
 def directional_slope(spec: ProblemSpec, u: DirichletFunction, v: DirichletFunction) -> float:
@@ -115,28 +116,28 @@ def directional_slope(spec: ProblemSpec, u: DirichletFunction, v: DirichletFunct
     order), so the basis-direction case reproduces the gradient component
     bit for bit.
     """
-    return float(np.dot(_gradient_values(spec, u.values), v.values))
+    return float(np.dot(gradient_values(spec, u.values), v.values))
 
 
-def residual_original(spec: ProblemSpec, u: DirichletFunction) -> float:
+def residual_original(spec: ProblemSpec, u: VertexFunction) -> float:
     """Certification residual of the original problem:
 
         max over interior x of | -lap_p u(x) + q(x)|u(x)|^(p(x)-2) u(x)
                                  - lambda f(x, u(x)) |.
 
-    Defined only for u >= 0 on the interior, since f models t >= 0.
+    Defined only for u >= 0 on the interior, since f models t >= 0.  The
+    operator reads u at every vertex, nonzero boundary values included.
     """
     g = spec.graph
-    ui = u.values[: g.n_interior]
+    uv = u.values
+    ui = uv[: g.n_interior]
     if np.any(ui < 0.0):
         x = g.interior[int(np.argmin(ui))]
         raise NegativeArgument(f"u({x}) < 0: the original problem evaluates f at u itself")
-    worst = 0.0
-    for i, x in enumerate(g.interior):
+    with np.errstate(over="ignore", invalid="ignore"):
         val = (
-            -p_laplacian(g, spec.p, u, x)
-            + float(spec.q.values[i]) * signed_power(float(ui[i]), float(spec.p.values[i]))
-            - spec.lam * spec.f._rate(i, float(ui[i]))
+            minus_laplacian(g, edge_flux(g, spec._p_rows, uv))[: g.n_interior]
+            + spec.q.values * _signed_power_vec(ui, spec.p.interior())
+            - spec.lam * spec.f.rate_vector(ui)
         )
-        worst = max(worst, abs(val))
-    return worst
+    return float(np.max(np.abs(val)))

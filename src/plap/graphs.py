@@ -75,11 +75,6 @@ class Graph:
         w = self.weights[rows, cols]
         return rows.astype(np.int64), cols.astype(np.int64), w
 
-    @cached_property
-    def neighbors(self) -> tuple[np.ndarray, ...]:
-        """Neighbor index arrays, one per vertex."""
-        return tuple(np.nonzero(self.weights[i])[0] for i in range(self.n_vertices))
-
     def index_of(self, x: VertexId) -> int:
         try:
             return self.index[x]

@@ -176,34 +176,35 @@ class GrowthEnvelope:
 class Nonlinearity:
     """Base class: f(x, t) for interior x and t >= 0, plus its primitive F.
 
-    Subclasses provide ``_rate`` (scalar) or ``_rate_grid`` (vectorized; ``i``
-    is a vertex index or an index array broadcast against the points), and
-    optionally a closed-form ``_primitive``; otherwise every F of the class,
-    scalar or vector, comes from ``panel_quadrature``.
+    A subclass keeps its per-vertex parameter arrays in ``_params``, writes f
+    once as the vectorized ``_rate(i, t)`` and F at most once as a closed-form
+    ``_primitive(i, t)``; otherwise F comes from ``panel_quadrature``.  ``i``
+    is a vertex index or an index array broadcast against the points, and
+    ``i = None`` is the whole interior (``rate_vector``, ``primitive_vector``).
     """
 
     kind = "custom"
+    _params: tuple[np.ndarray, ...] = ()
 
     def __init__(self, graph: Graph, envelope: GrowthEnvelope | None):
         self.graph = graph
         self.envelope = envelope
 
-    def _rate(self, i: int, t: float) -> float:
-        return float(self._rate_grid(i, t))
-
-    def _rate_grid(self, i, ts: np.ndarray) -> np.ndarray:
-        return np.vectorize(self._rate, otypes=[float])(i, ts)
+    def _at(self, i):
+        # The whole interior reads the arrays unindexed: indexing them, even
+        # with slice(None), costs about 0.5 us per call.
+        return self._params if i is None else [a[i] for a in self._params]
 
     def _primitive(self, i, t):
-        return panel_quadrature(self._rate_grid, i, t)
+        return panel_quadrature(self._rate, np.arange(len(t)) if i is None else i, t)
 
     # -- vector evaluation over the interior ------------------------------
 
     def rate_vector(self, t: np.ndarray) -> np.ndarray:
-        return self._rate_grid(np.arange(len(t)), t)
+        return self._rate(None, t)
 
     def primitive_vector(self, t: np.ndarray) -> np.ndarray:
-        return self._primitive(np.arange(len(t)), t)
+        return self._primitive(None, t)
 
     def _interior_index(self, x: VertexId) -> int:
         i = self.graph.index_of(x)
@@ -238,22 +239,15 @@ class PowerPlus(Nonlinearity):
                 psi1=self.psi, psi2=self.psi,
             )
         super().__init__(graph, envelope)
+        self._params = (self.phi, self.m, self.psi)
 
     def _rate(self, i, t):
-        return float(self.phi[i]) * t ** (float(self.m[i]) - 1.0) + float(self.psi[i])
-
-    def _rate_grid(self, i, ts):
-        return self.phi[i] * ts ** (self.m[i] - 1.0) + self.psi[i]
+        phi, m, psi = self._at(i)
+        return phi * t ** (m - 1.0) + psi
 
     def _primitive(self, i, t):
-        m = float(self.m[i])
-        return float(self.phi[i]) / m * t ** m + float(self.psi[i]) * t
-
-    def rate_vector(self, t):
-        return self.phi * t ** (self.m - 1.0) + self.psi
-
-    def primitive_vector(self, t):
-        return self.phi / self.m * t ** self.m + self.psi * t
+        phi, m, psi = self._at(i)
+        return phi / m * t ** m + psi * t
 
 
 class ArctanPower(Nonlinearity):
@@ -285,12 +279,13 @@ class ArctanPower(Nonlinearity):
             psi1=self.psi + 1.0, psi2=bulk + self.psi + 2.0,
         )
         super().__init__(graph, envelope)
+        self._params = (self.m, self.phi, self.psi)
 
-    def _rate_grid(self, i, ts):
-        m, phi, psi = self.m[i], self.phi[i], self.psi[i]
-        expo = 1.0 - np.exp(-ts * ts) + m
-        return (ts + 1.0) ** expo * ((2.0 / np.pi) * np.arctan(ts) + phi) \
-            + np.abs(np.sin(ts)) + psi + 1.0
+    def _rate(self, i, t):
+        m, phi, psi = self._at(i)
+        expo = 1.0 - np.exp(-t * t) + m
+        return (t + 1.0) ** expo * ((2.0 / np.pi) * np.arctan(t) + phi) \
+            + np.abs(np.sin(t)) + psi + 1.0
 
 
 class CustomNonlinearity(Nonlinearity):
@@ -304,22 +299,27 @@ class CustomNonlinearity(Nonlinearity):
         super().__init__(graph, envelope)
         self._fn = fn
         self._primitive_fn = primitive_fn
+        self._params = (np.arange(graph.n_interior),)
+
+    def _call(self, fn, i, t):
+        (k,) = self._at(i)
+        labels = self.graph.vertices
+        return np.vectorize(lambda j, s: fn(labels[j], s), otypes=[float])(k, t)
 
     def _rate(self, i, t):
-        return float(self._fn(self.graph.vertices[i], t))
+        return self._call(self._fn, i, t)
 
     def _primitive(self, i, t):
         if self._primitive_fn is None:
             return super()._primitive(i, t)
-        return np.vectorize(lambda k, s: self._primitive_fn(self.graph.vertices[k], s),
-                            otypes=[float])(i, t)
+        return self._call(self._primitive_fn, i, t)
 
 
 def eval_f(n: Nonlinearity, x: VertexId, t: float) -> float:
     """f(x, t) for t >= 0."""
     if t < 0:
         raise NegativeArgument(f"f is only defined for t >= 0, got t = {t}")
-    return n._rate(n._interior_index(x), float(t))
+    return float(n._rate(n._interior_index(x), float(t)))
 
 
 def primitive_F(n: Nonlinearity, x: VertexId, t: float) -> float:
@@ -377,7 +377,7 @@ def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
     F_slack = 1e-8  # far above the quadrature tolerance (1e-10 absolute, 1e-13 relative)
     sub = grid[::8] if grid.size > 16 else grid
     for i, x in enumerate(n.graph.interior):
-        fvals = n._rate_grid(i, grid)
+        fvals = n._rate(i, grid)
         lower = env.psi1[i] + env.phi1[i] * grid ** (env.m1[i] - 1.0)
         upper = env.phi2[i] * grid ** (env.m2[i] - 1.0) + env.psi2[i]
         for t, fv, lo, up in zip(grid, fvals, lower, upper):

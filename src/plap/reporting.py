@@ -13,7 +13,7 @@ from typing import Any
 
 from . import __version__
 from .bounds import LambdaThresholds
-from .calculus import DirichletFunction
+from .calculus import VertexFunction
 from .errors import DegenerateExponent, GammaTooSmall
 from .model import InstanceConstants, ProblemSpec
 from .solver import CriticalPoint, SolveReport
@@ -211,7 +211,7 @@ def solve_report_document(spec: ProblemSpec, rep: SolveReport, gamma: float | No
     return doc
 
 
-def certificate_document(spec: ProblemSpec, u: DirichletFunction,
+def certificate_document(spec: ProblemSpec, u: VertexFunction,
                          residual: float | None, positivity, tol: float) -> dict:
     passed = (positivity.passed and residual is not None and residual <= tol)
     return {

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import LambdaThresholds, Regime, RegimeTag, classify_regime, lambda_thresholds
 from .calculus import DirichletFunction
-from .energy import energy_value, gradient_residual, residual_original
+from .energy import energy_value, gradient_values, residual_original
 from .errors import (
     ConstructionFailed,
     DegeneratePath,
@@ -124,15 +124,16 @@ class CriticalPoint:
         return self.converged and math.isfinite(self.value)
 
 
+def _full(spec: ProblemSpec, vals_int: np.ndarray) -> np.ndarray:
+    return np.concatenate((vals_int, np.zeros(spec.graph.n_boundary)))
+
+
 def _interior_grad(spec: ProblemSpec, vals_int: np.ndarray) -> np.ndarray:
-    full = np.zeros(spec.graph.n_vertices)
-    full[: spec.graph.n_interior] = vals_int
-    u = DirichletFunction(spec.graph, full)
-    return gradient_residual(spec, u).interior().copy()
+    return gradient_values(spec, _full(spec, vals_int))[: spec.graph.n_interior]
 
 
 def _J(spec: ProblemSpec, vals_int: np.ndarray) -> float:
-    return energy_value(spec, DirichletFunction.from_interior(spec.graph, vals_int))
+    return energy_value(spec, _full(spec, vals_int))
 
 
 def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,

@@ -188,6 +188,18 @@ def test_certify_command_fails_on_negative(capsys, tmp_path):
     assert doc["passed"] is False
 
 
+def test_certify_reports_nonzero_boundary_as_failed(capsys, tmp_path):
+    # A nonzero boundary value is a failed certificate, not a parse error.
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"u": {"v1": 0.3333333333333333, "v0": 0.5}}))
+    code, out, _ = run_cli(["certify", linear_file(), "--solution", str(sol)], capsys)
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["positivity"]["boundary_zero"] is False
+    assert doc["passed"] is False
+    assert doc["residual_original"] > 0.1  # the boundary value enters the operator
+
+
 def test_certify_rejects_unknown_vertex(capsys, tmp_path):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"u": {"v1": 0.3, "zz": 1.0}}))

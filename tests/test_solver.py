@@ -361,3 +361,56 @@ def test_gradient_unknown_vertex():
     u = VertexFunction(spec.graph, np.zeros(3))
     with pytest.raises(UnknownVertex):
         p_gradient(spec.graph, spec.p, u, "zz")
+
+
+def one_formula_specs():
+    """power_plus, arctan_power and a custom kind, each with a non-uniform p."""
+    from plap import ArctanPower, CustomNonlinearity
+
+    rng = np.random.default_rng(41)
+    g = make_cycle_pendant_graph(rng, k=4)
+    p = ExponentField(g, rng.uniform(2.0, 4.0, g.n_vertices))
+    q = Potential(g, rng.uniform(0.5, 2.0, g.n_interior))
+    kinds = [
+        PowerPlus(g, rng.uniform(0.5, 2.0, 4), rng.uniform(2.0, 5.0, 4), 0.3),
+        ArctanPower(g, m=rng.uniform(2.0, 4.0, 4), phi=0.7, psi=0.4),
+        CustomNonlinearity(g, lambda x, t: 1.0 + t * t + 0.1 * len(x)),
+    ]
+    return [ProblemSpec(g, p, q, f, 0.2) for f in kinds]
+
+
+def test_solver_energy_and_gradient_are_the_api_formulas_bit_for_bit():
+    import plap.solver as solver_mod
+    from plap import gradient_residual
+
+    rng = np.random.default_rng(42)
+    for spec in one_formula_specs():
+        for _ in range(5):
+            v = rng.uniform(-1.0, 2.0, spec.graph.n_interior)
+            u = DirichletFunction.from_interior(spec.graph, v)
+            J = solver_mod._J(spec, v)
+            assert np.float64(J).tobytes() == np.float64(energy_value(spec, u)).tobytes()
+            grad = solver_mod._interior_grad(spec, v)
+            assert grad.tobytes() == gradient_residual(spec, u).interior().tobytes()
+
+
+def test_descend_constructions_do_not_grow_with_iterations(monkeypatch):
+    from plap.calculus import DirichletFunction as DF
+
+    counted = []
+    check = DF.__post_init__
+
+    def counting(self):
+        counted.append(1)
+        check(self)
+
+    monkeypatch.setattr(DF, "__post_init__", counting)
+    spec = one_formula_specs()[0]
+    u0 = DirichletFunction.from_interior(spec.graph, np.full(spec.graph.n_interior, 3.0))
+    per_run = []
+    for budget in (3, 30):
+        counted.clear()
+        pt = descend(spec, u0, opts=SolverOptions(grad_tol=1e-300, max_iter=budget))
+        assert pt.iterations == budget
+        per_run.append(len(counted))
+    assert per_run[0] == per_run[1] <= 2, per_run

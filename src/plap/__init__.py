@@ -79,7 +79,6 @@ from .solver import (
     descend,
     hill_point,
     kkt_multipliers,
-    min_on_sphere,
     mountain_pass,
     solve,
     spike_point,

@@ -3,9 +3,10 @@
 The seven inequality constants (a.1)-(a.7) relate power sums of u over the
 interior (or of pairwise differences over all vertices) to powers of the
 Euclidean norm.  The thresholds lambda1, lambda2, lambda3(gamma), the minimal
-annulus radius gamma0 and the admissible spike height t0(lambda) are closed
-formulas in the instance constants; which existence/multiplicity regime
-applies is read off from the exponent relations and the thresholds.
+annulus radius gamma0, the admissible spike height t0(lambda) and the lower
+bound of the energy on the small sphere are closed formulas in the instance
+constants; which existence/multiplicity regime applies is read off from the
+exponent relations and the thresholds.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ def check_inequality(
 class LambdaThresholds:
     """Closed-form parameter thresholds of an instance.
 
-    lambda3 and t0 stay parametric (they depend on gamma resp. lambda); call
-    the methods of the same name.
+    lambda3, t0 and sphere_lower_bound stay parametric (lambda3 depends on
+    gamma, the others on lambda); call the methods of the same name.
     """
 
     lambda1: float
@@ -150,6 +151,25 @@ class LambdaThresholds:
         num = 2.0 * lam * (c.phi1_min / c.m1_plus + c.psi1_min) * c.p_minus
         den = c.max_weight * (2 * S + dS - 1) + 2.0 * c.q_plus
         return min(1.0, (num / den) ** (1.0 / (c.p_minus - c.m1_plus)))
+
+    def sphere_lower_bound(self, lam: float) -> float:
+        """Lower bound of J over the sphere ||u|| = rho, rho = |Sbar|^(-1/2).
+
+        On that sphere every |u(x)| <= rho <= 1, so |u(x)|^p(x) >= |u(x)|^p+,
+        and the F-envelope gives F(x, u(x)) <= phi2/m2- rho^m2- + psi2 (F is
+        negative where u(x) < 0).  Dropping the nonnegative edge term and
+        applying (a.3) with m = p+ to the potential term gives
+
+            J(u) >= (q-/p+) a3(p+) rho^p+ - lam |S| (phi2/m2- rho^m2- + psi2)
+                  = |S| (phi2/m2- |Sbar|^(-m2-/2) + psi2) (lambda2 - lam),
+
+        since lambda2 = (q-/p+) a3(p+) rho^p+ / (|S| (phi2/m2- rho^m2- + psi2)).
+        The bound is positive exactly when lam < lambda2.
+        """
+        c = self.constants
+        scale = c.n_interior * (c.phi2_max / c.m2_minus * c.n_vertices ** (-c.m2_minus / 2.0)
+                                + c.psi2_max)
+        return scale * (self.lambda2 - lam)
 
 
 def lambda_thresholds(c: InstanceConstants, gamma: float | None = None) -> LambdaThresholds:

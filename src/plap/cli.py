@@ -2,15 +2,12 @@
 
 Reports are UTF-8 JSON on stdout (CSV for sweep).  Exit codes: 0 success,
 1 usage, 2 parse/validation failure, 3 solve failure, 4 failed certificate.
-PLAP_THREADS bounds sweep concurrency.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -190,12 +187,7 @@ def _cmd_sweep(args) -> int:
     else:
         grid = list(np.linspace(args.lambda_min, args.lambda_max, args.steps))
     opts = _options(args)
-    workers = int(os.environ.get("PLAP_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda lam: _solve_one(doc.spec, lam, opts), grid))
-    else:
-        rows = [_solve_one(doc.spec, lam, opts) for lam in grid]
+    rows = [_solve_one(doc.spec, lam, opts) for lam in grid]
     sys.stdout.write("lambda,solutions,min_residual,norms\n")
     for row in rows:
         norms = ";".join(csv_cell(v) for v in row["norms"])

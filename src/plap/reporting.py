@@ -193,7 +193,7 @@ def solve_report_document(spec: ProblemSpec, rep: SolveReport, gamma: float | No
         "thresholds": th_sec,
         "regime": rep.regime.sorted_names(),
         "solutions": [solution_section(pt) for pt in rep.solutions],
-        "sphere_min_estimate": rep.sphere_min_estimate,
+        "sphere_lower_bound": rep.sphere_lower_bound,
         "kkt": None,
         "diagnostics": {"notes": list(rep.notes)},
     }

@@ -11,7 +11,7 @@ transverse directions, terminating when its gradient vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -266,38 +266,6 @@ def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
             return d / nd
 
 
-def min_on_sphere(spec: ProblemSpec, r: float, opts: SolverOptions | None = None
-                  ) -> tuple[float, DirichletFunction]:
-    """Upper estimate of the J-minimum over the sphere of radius r.
-
-    Runs sphere-constrained descents from +-r e_x for every interior vertex
-    plus ``restarts`` random directions and keeps the best end point.
-    """
-    if r <= 0:
-        raise DomainError("sphere radius must be positive")
-    opts = opts or SolverOptions()
-    inner = replace(opts, max_iter=min(opts.max_iter, 200))
-    n = spec.graph.n_interior
-    starts = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = r
-        starts.append(e)
-        starts.append(-e)
-    rng = np.random.default_rng(opts.rng_seed)
-    for _ in range(opts.restarts):
-        starts.append(_random_direction(rng, n) * r)
-    best_val = math.inf
-    best_u: np.ndarray | None = None
-    for s in starts:
-        pt = descend(spec, DirichletFunction.from_interior(spec.graph, s),
-                     Sphere(r), inner)
-        if pt.value < best_val:
-            best_val = pt.value
-            best_u = pt.u.interior().copy()
-    return best_val, DirichletFunction.from_interior(spec.graph, best_u)
-
-
 def spike_point(spec: ProblemSpec, opts: SolverOptions | None = None) -> DirichletFunction:
     """A single-vertex bump with negative energy strictly inside the small ball.
 
@@ -397,7 +365,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     a = u0.interior().copy()
     b = u1.interior().copy()
     if barrier is not None and max(_J(spec, a), _J(spec, b)) >= barrier:
-        raise DegeneratePath("endpoint energy reaches the separating barrier estimate")
+        raise DegeneratePath("endpoint energy reaches the separating barrier")
     nodes = [a + (k / (K - 1)) * (b - a) for k in range(K)]
     jvals = [_J(spec, v) for v in nodes]
     # The pass level never exceeds the maximum over any one admissible path;
@@ -650,7 +618,7 @@ class SolveReport:
     regime: Regime
     thresholds: LambdaThresholds | None
     solutions: list[CriticalPoint]
-    sphere_min_estimate: float | None
+    sphere_lower_bound: float | None
     kkt: KKTInfo | None
     notes: list[str] = field(default_factory=list)
     seed: int = 0
@@ -695,7 +663,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     radius = c.n_vertices ** -0.5
 
     candidates: list[CriticalPoint] = []
-    sphere_est: float | None = None
+    sphere_bound: float | None = None
     kkt_info: KKTInfo | None = None
 
     def run(start: np.ndarray, constraint: Constraint, seed: int | None = None) -> CriticalPoint:
@@ -706,10 +674,10 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     ball_regime = two_solution or regime.has(RegimeTag.EKELAND)
 
     if ball_regime:
-        sphere_est, _ = min_on_sphere(spec, radius, opts)
-        if sphere_est <= 0:
+        sphere_bound = thresholds.sphere_lower_bound(spec.lam)
+        if sphere_bound <= 0:
             notes.append(
-                f"sphere minimum estimate {sphere_est:.6g} is not positive; "
+                f"sphere lower bound {sphere_bound:.6g} is not positive; "
                 f"separating barrier not certified"
             )
         starts: list[np.ndarray] = []
@@ -738,10 +706,10 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             )
         if two_solution:
             try:
-                u_hill = hill_point(spec, sphere_est)
+                u_hill = hill_point(spec, sphere_bound)
                 u_low = best.u if best is not None else DirichletFunction.zeros(spec.graph)
                 saddle = mountain_pass(spec, u_low, u_hill, opts.path_points, opts,
-                                       barrier=sphere_est)
+                                       barrier=sphere_bound)
                 candidates.append(saddle)
                 if not saddle.converged:
                     notes.append(
@@ -806,6 +774,6 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             notes.append(f"positivity certificate failed: {rep.message}")
     return SolveReport(
         regime=regime, thresholds=thresholds, solutions=solutions,
-        sphere_min_estimate=sphere_est, kkt=kkt_info, notes=notes,
+        sphere_lower_bound=sphere_bound, kkt=kkt_info, notes=notes,
         seed=opts.rng_seed,
     )

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import plap
 from plap import (
+    ArctanPower,
     DirichletFunction,
     ExponentField,
     Potential,
@@ -72,6 +74,37 @@ def random_graph(rng, n_max=12):
         labels[:n_int], labels[n_int:],
         [(labels[a], labels[b], w) for (a, b), w in edges.items()],
     )
+
+
+@st.composite
+def problem_specs(draw):
+    """A connected graph (2 to 10 vertices) with per-vertex p in [2, 6], q in
+    [0.1, 3], lambda in [0.01, 2], and power_plus or arctan_power with m in [2, 6]."""
+    n = draw(st.integers(2, 10))
+    n_int = draw(st.integers(1, n - 1))
+    label = [f"w{k}" for k in draw(st.permutations(range(n)))]
+    weight = st.floats(0.2, 3.0)
+    edges = {}
+    for k in range(1, n):  # a random tree keeps the graph connected
+        edges[(draw(st.integers(0, k - 1)), k)] = draw(weight)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=n)):
+        if a != b:
+            edges.setdefault((min(a, b), max(a, b)), draw(weight))
+    g = build_graph(label[:n_int], label[n_int:],
+                    [(label[a], label[b], w) for (a, b), w in edges.items()])
+
+    def values(lo, hi, size):
+        return draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+
+    p = ExponentField(g, values(2.0, 6.0, n))
+    q = Potential(g, values(0.1, 3.0, n_int))
+    m, phi, psi = values(2.0, 6.0, n_int), values(0.1, 2.0, n_int), values(0.1, 2.0, n_int)
+    if draw(st.booleans()):
+        f = PowerPlus(g, phi=phi, m=m, psi=psi)
+    else:
+        f = ArctanPower(g, m=m, phi=phi, psi=psi)
+    return ProblemSpec(g, p, q, f, draw(st.floats(0.01, 2.0)))
 
 
 def random_dirichlet(rng, graph, lo=-2.0, hi=2.0):

@@ -238,7 +238,7 @@ def test_ac08_positivity_certificates():
            f"solutions checked={checked} bad={bad[:3]}")
 
 
-def _mp_thresholds(c, gamma, lam):
+def _mp_thresholds(c, gamma, lam, lam_sphere):
     mp.dps = 60
     S, dS, Sbar = mpf(c.n_interior), mpf(c.n_boundary), mpf(c.n_vertices)
     pm, pp = mpf(c.p_minus), mpf(c.p_plus)
@@ -261,7 +261,11 @@ def _mp_thresholds(c, gamma, lam):
     t0num = 2 * mpf(lam) * (phi1 / m1p + psi1) * pm
     t0den = om * (2 * c.n_interior + c.n_boundary - 1) + 2 * qp
     t0 = min(mpf(1), (t0num / t0den) ** (1 / (pm - m1p)))
-    return lambda1, lambda2, gamma0, lambda3, t0
+    # J on the sphere of radius rho: (a.3) with m = p+ against the F-envelope
+    rho = Sbar ** mpf(-0.5)
+    sphere = (qm / pp) * two ** (-pp / 2) * dS ** (pp / 2) * Sbar ** (1 - pp) * rho ** pp \
+        - mpf(lam_sphere) * S * (phi2 / m2m * rho ** m2m + psi2)
+    return lambda1, lambda2, gamma0, lambda3, t0, sphere
 
 
 def test_ac09_thresholds_vs_high_precision():
@@ -276,8 +280,10 @@ def test_ac09_thresholds_vs_high_precision():
             continue
         th = lambda_thresholds(c)
         gamma = th.gamma0 * float(rng.uniform(1.05, 5.0))
-        vals = (th.lambda1, th.lambda2, th.gamma0, th.lambda3(gamma), th.t0(spec.lam))
-        refs = _mp_thresholds(c, gamma, spec.lam)
+        lam_sphere = 0.9 * th.lambda2 * (n_checked + 1) / 51  # spans (0, 0.9 lambda2)
+        vals = (th.lambda1, th.lambda2, th.gamma0, th.lambda3(gamma), th.t0(spec.lam),
+                th.sphere_lower_bound(lam_sphere))
+        refs = _mp_thresholds(c, gamma, spec.lam, lam_sphere)
         for got, ref in zip(vals, refs):
             rel = abs(mpf(got) - ref) / abs(ref)
             worst = max(worst, float(rel))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plap import (
     DirichletFunction,
@@ -12,6 +13,7 @@ from plap import (
     RegimeTag,
     check_inequality,
     classify_regime,
+    energy_value,
     inequality_bound,
     instance_constants,
     lambda_thresholds,
@@ -22,6 +24,7 @@ from conftest import (
     cubic_star_spec,
     make_path_graph,
     make_triangle_pendant_graph,
+    problem_specs,
     random_dirichlet,
     random_power_spec,
 )
@@ -251,3 +254,33 @@ def test_no_envelope_means_no_tags():
                        q=Potential.constant(g, 1.0),
                        f=PowerPlus(g, 0.0, 2.0, 1.0), lam=1.0)
     assert classify_regime(instance_constants(spec), 1.0).tags == frozenset()
+
+
+@st.composite
+def sphere_cases(draw):
+    """A generated problem with lambda in (0, 1.5 lambda2), and a direction."""
+    spec = draw(problem_specs())
+    lambda2 = lambda_thresholds(instance_constants(spec)).lambda2
+    lam = draw(st.floats(1e-3, 1.5)) * lambda2
+    n_int = spec.graph.n_interior
+    direction = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_int, max_size=n_int))
+    return ProblemSpec(spec.graph, spec.p, spec.q, spec.f, lam), np.array(direction)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(sphere_cases())
+def test_sphere_lower_bound_holds_on_the_sphere(case):
+    spec, direction = case
+    c = instance_constants(spec)
+    th = lambda_thresholds(c)
+    bound = th.sphere_lower_bound(spec.lam)
+    assert (bound > 0.0) == (spec.lam < th.lambda2)
+    rho = th.omega_radius
+    n = c.n_interior
+    points = [np.eye(n)[i] * s for i in range(n) for s in (rho, -rho)]
+    nd = float(np.linalg.norm(direction))
+    if nd > 1e-9:
+        points += [direction * (rho / nd), np.abs(direction) * (rho / nd)]
+    for v in points:
+        J = energy_value(spec, DirichletFunction.from_interior(spec.graph, v))
+        assert J >= bound - 1e-12 * (1.0 + abs(bound)), (J, bound, v)

@@ -11,13 +11,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from plap import (
-    ArctanPower,
-    ExponentField,
-    Potential,
-    PowerPlus,
-    ProblemSpec,
     VertexFunction,
-    build_graph,
     check_inequality,
     green_pairing,
     p_laplacian,
@@ -25,38 +19,22 @@ from plap import (
     signed_power,
 )
 
+from conftest import problem_specs
+
 TOL = 1e-13
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
 @st.composite
 def problems(draw):
-    """A connected graph with per-vertex p in [2, 6], a nonlinearity, and u, v."""
-    n = draw(st.integers(2, 10))
-    n_int = draw(st.integers(1, n - 1))
-    label = [f"w{k}" for k in draw(st.permutations(range(n)))]
-    weight = st.floats(0.2, 3.0)
-    edges = {}
-    for k in range(1, n):  # a random tree keeps the graph connected
-        edges[(draw(st.integers(0, k - 1)), k)] = draw(weight)
-    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                              max_size=n)):
-        if a != b:
-            edges.setdefault((min(a, b), max(a, b)), draw(weight))
-    g = build_graph(label[:n_int], label[n_int:],
-                    [(label[a], label[b], w) for (a, b), w in edges.items()])
+    """A generated problem (see ``problem_specs``) and two functions u, v."""
+    spec = draw(problem_specs())
+    g = spec.graph
+    n, n_int = g.n_vertices, g.n_interior
 
     def values(lo, hi, size):
         return draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
 
-    p = ExponentField(g, values(2.0, 6.0, n))
-    q = Potential(g, values(0.1, 3.0, n_int))
-    m, phi, psi = values(2.0, 6.0, n_int), values(0.1, 2.0, n_int), values(0.1, 2.0, n_int)
-    if draw(st.booleans()):
-        f = PowerPlus(g, phi=phi, m=m, psi=psi)
-    else:
-        f = ArctanPower(g, m=m, phi=phi, psi=psi)
-    spec = ProblemSpec(g, p, q, f, draw(st.floats(0.01, 2.0)))
     # u >= 0 inside (the residual needs it), any sign on the boundary
     u = VertexFunction(g, values(0.0, 2.0, n_int) + values(-2.0, 2.0, n - n_int))
     v = VertexFunction(g, values(-2.0, 2.0, n))

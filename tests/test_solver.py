@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import plap.solver
 from plap import (
     Annulus,
     Ball,
@@ -18,7 +19,6 @@ from plap import (
     instance_constants,
     kkt_multipliers,
     lambda_thresholds,
-    min_on_sphere,
     mountain_pass,
     solve,
     spike_point,
@@ -34,7 +34,6 @@ from conftest import (
     make_path_graph,
     random_coercive_spec,
     random_dirichlet,
-    random_star_spec,
     scalar_equation,
 )
 
@@ -88,27 +87,6 @@ def test_ball_descent_respects_constraint():
     assert pt.u.value("v1") == pytest.approx(0.013333649405, abs=1e-9)
 
 
-def test_min_on_sphere_scalar():
-    spec = constant_source_spec(lam=1e-6)
-    val, arg = min_on_sphere(spec, 1.0, SolverOptions(restarts=2))
-    assert val == pytest.approx(1.5 - 1e-6, rel=1e-12)
-    assert arg.value("v1") == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.linalg.norm(arg.interior()) - 1.0) <= 1e-12
-
-
-def test_min_on_sphere_positive_in_small_ball_regime():
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        spec0, _ = random_star_spec(rng)
-        c = instance_constants(spec0)
-        th = lambda_thresholds(c)
-        lam = min(spec0.lam, 0.9 * th.lambda2)
-        spec = ProblemSpec(graph=spec0.graph, p=spec0.p, q=spec0.q, f=spec0.f, lam=lam)
-        val, arg = min_on_sphere(spec, th.omega_radius, SolverOptions(restarts=2))
-        assert val > 0.0
-        assert abs(np.linalg.norm(arg.interior()) - th.omega_radius) <= 1e-10
-
-
 def test_spike_point_cubic():
     spec = cubic_star_spec(lam=0.4)
     th = lambda_thresholds(instance_constants(spec))
@@ -127,7 +105,7 @@ def test_spike_point_beyond_lambda2_still_tries():
 
 def test_hill_point_cubic():
     spec = cubic_star_spec(lam=0.4)
-    barrier, _ = min_on_sphere(spec, 3.0 ** -0.5, FAST)
+    barrier = lambda_thresholds(instance_constants(spec)).sphere_lower_bound(spec.lam)
     u = hill_point(spec, barrier)
     xi = u.value("v1")
     assert xi <= 2 ** 6
@@ -178,7 +156,7 @@ def test_mountain_pass_cubic_saddle():
     roots = bisect_roots(scalar_equation(spec))
     assert len(roots) == 2
     low = descend(spec, DirichletFunction.zeros(spec.graph), Ball(3.0 ** -0.5), FAST)
-    barrier, _ = min_on_sphere(spec, 3.0 ** -0.5, FAST)
+    barrier = lambda_thresholds(instance_constants(spec)).sphere_lower_bound(spec.lam)
     hill = hill_point(spec, barrier)
     saddle = mountain_pass(spec, low.u, hill, 21, FAST, barrier=barrier)
     assert saddle.converged
@@ -299,8 +277,27 @@ def test_solve_kkt_regime():
 def test_solve_sphere_estimate_recorded():
     spec = cubic_star_spec(lam=0.4)
     rep = solve(spec, FAST)
-    assert rep.sphere_min_estimate is not None
-    assert rep.sphere_min_estimate > 0.0
+    th = lambda_thresholds(instance_constants(spec))
+    assert rep.sphere_lower_bound == th.sphere_lower_bound(spec.lam)
+    assert rep.sphere_lower_bound > 0.0
+
+
+@pytest.mark.parametrize("restarts", [0, 3])
+def test_solve_runs_no_sphere_descents(monkeypatch, restarts):
+    # The ball regime descends from the spike, the origin and the random
+    # starts, and from nothing else: the barrier is closed form.
+    spec = cubic_star_spec(lam=0.4)
+    calls = []
+
+    def counting_descend(problem, u0, constraint=None, *args, **kwargs):
+        calls.append(constraint)
+        return descend(problem, u0, constraint, *args, **kwargs)
+
+    monkeypatch.setattr(plap.solver, "descend", counting_descend)
+    rep = solve(spec, SolverOptions(restarts=restarts))
+    assert len(rep.solutions) == 2
+    assert len(calls) == 2 + restarts
+    assert all(isinstance(c, Ball) for c in calls)
 
 
 def test_solve_deterministic_given_seed():

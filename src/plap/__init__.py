@@ -75,7 +75,6 @@ from .solver import (
     PositivityReport,
     SolveReport,
     SolverOptions,
-    Sphere,
     descend,
     hill_point,
     kkt_multipliers,

@@ -95,10 +95,6 @@ class DegeneratePath(SolverError):
     pass
 
 
-class MaxIterExceeded(SolverError):
-    pass
-
-
 # -- problem files / CLI -----------------------------------------------------
 
 class ParseError(PlapError):

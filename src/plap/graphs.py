@@ -2,13 +2,12 @@
 
 The domain of every problem in this package is a simple, connected, undirected
 graph whose vertex set is partitioned into a nonempty interior S and a
-nonempty boundary dS.  Edge weights are strictly positive; a zero entry in the
-weight matrix means "no edge".
+nonempty boundary dS.  Edge weights are strictly positive; the edges are
+stored once, as sorted ordered vertex pairs, in O(E) memory.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -42,7 +41,9 @@ class Graph:
 
     interior: tuple[VertexId, ...]
     boundary: tuple[VertexId, ...]
-    weights: np.ndarray  # (n, n) symmetric, >= 0, zero diagonal
+    # (rows, cols, w): each edge once per direction, sorted by (row, col) so
+    # that every sum over the pairs runs in one fixed order.
+    ordered_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
@@ -65,15 +66,15 @@ class Graph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def ordered_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All ordered vertex pairs (r, c) with a positive weight.
+    def weights(self) -> np.ndarray:
+        """Dense read-only (n, n) weights, 0 for no edge, built on first use.
 
-        Returns (rows, cols, w); each undirected edge appears twice, once per
-        direction.  Pairs are sorted by (row, col) for deterministic sums.
-        """
-        rows, cols = np.nonzero(self.weights)
-        w = self.weights[rows, cols]
-        return rows.astype(np.int64), cols.astype(np.int64), w
+        For tests and inspection only: it costs O(n^2) memory."""
+        rows, cols, w = self.ordered_pairs
+        dense = np.zeros((self.n_vertices, self.n_vertices))
+        dense[rows, cols] = w
+        dense.setflags(write=False)
+        return dense
 
     def index_of(self, x: VertexId) -> int:
         try:
@@ -82,10 +83,7 @@ class Graph:
             raise UnknownVertex(f"vertex {x!r} is not part of this graph") from None
 
     def max_weight(self) -> float:
-        return float(self.weights.max())
-
-    def degree(self, x: VertexId) -> int:
-        return int(np.count_nonzero(self.weights[self.index_of(x)]))
+        return float(self.ordered_pairs[2].max(initial=0.0))
 
 
 @dataclass
@@ -125,18 +123,26 @@ def _check_labels(interior: Sequence[VertexId], boundary: Sequence[VertexId]) ->
             raise DuplicateVertex(f"vertex {dup!r} appears more than once")
 
 
-def _connected(weights: np.ndarray) -> bool:
-    # Breadth-first traversal over positive-weight edges.
-    n = weights.shape[0]
+def _connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
+    # Breadth-first traversal, one frontier at a time, over pairs sorted by
+    # row: the neighbours of x are cols[start[x]:start[x + 1]], and each
+    # vertex enters the frontier once, so every slice is read once (O(E)).
+    start = np.searchsorted(rows, np.arange(n + 1))
     seen = np.zeros(n, dtype=bool)
-    queue: deque[int] = deque([0])
     seen[0] = True
-    while queue:
-        i = queue.popleft()
-        for j in np.nonzero(weights[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                queue.append(int(j))
+    slot = np.empty(n, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        lo = start[frontier]
+        counts = start[frontier + 1] - lo
+        offsets = np.cumsum(counts) - counts
+        nbrs = cols[np.arange(int(counts.sum())) + np.repeat(lo - offsets, counts)]
+        nbrs = nbrs[~seen[nbrs]]
+        # Keep one copy of each new vertex: the last write to slot[x] wins.
+        # (np.unique would do, but pages in about 1.6 MB of code on first use.)
+        slot[nbrs] = np.arange(nbrs.size)
+        frontier = nbrs[slot[nbrs] == np.arange(nbrs.size)]
+        seen[frontier] = True
     return bool(seen.all())
 
 
@@ -153,8 +159,9 @@ def build_graph(
     _check_labels(interior, boundary)
     labels = tuple(interior) + tuple(boundary)
     index = {v: i for i, v in enumerate(labels)}
-    n = len(labels)
-    weights = np.zeros((n, n))
+    heads: list[int] = []
+    tails: list[int] = []
+    ws: list[float] = []
     for a, b, w in edges:
         if a not in index:
             raise UnknownEndpoint(f"edge endpoint {a!r} is not a declared vertex")
@@ -165,15 +172,22 @@ def build_graph(
         w = float(w)
         if not np.isfinite(w) or w <= 0.0:
             raise NonPositiveWeight(f"edge ({a!r}, {b!r}) has weight {w}, need > 0")
-        i, j = index[a], index[b]
-        if weights[i, j] != 0.0:
-            raise DuplicateVertex(f"duplicate edge ({a!r}, {b!r})")
-        weights[i, j] = w
-        weights[j, i] = w
-    if not _connected(weights):
+        heads.append(index[a])
+        tails.append(index[b])
+        ws.append(w)
+    rows = np.array(heads + tails, dtype=np.int64)
+    cols = np.array(tails + heads, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    pairs = (rows[order], cols[order], np.array(ws + ws)[order])
+    repeated = np.flatnonzero(np.diff(pairs[0] * len(labels) + pairs[1]) == 0)
+    if repeated.size:
+        r, c = pairs[0][repeated[0]], pairs[1][repeated[0]]
+        raise DuplicateVertex(f"duplicate edge ({labels[r]!r}, {labels[c]!r})")
+    for arr in pairs:
+        arr.setflags(write=False)
+    if not _connected(len(labels), pairs[0], pairs[1]):
         raise Disconnected("graph is not connected")
-    weights.setflags(write=False)
-    return Graph(tuple(interior), tuple(boundary), weights)
+    return Graph(tuple(interior), tuple(boundary), pairs)
 
 
 def validate_graph(g: Graph) -> ValidationReport:
@@ -182,18 +196,28 @@ def validate_graph(g: Graph) -> ValidationReport:
     report.add("nonempty_sets", bool(g.interior) and bool(g.boundary))
     overlap = set(g.interior) & set(g.boundary)
     report.add("disjoint_sets", not overlap, f"overlap: {sorted(overlap)}" if overlap else "")
-    labels = g.vertices
-    report.add("unique_labels", len(set(labels)) == len(labels))
-    w = np.asarray(g.weights)
-    shape_ok = w.ndim == 2 and w.shape == (len(labels), len(labels))
-    report.add("matrix_shape", shape_ok)
+    n = g.n_vertices
+    report.add("unique_labels", len(set(g.vertices)) == n)
+    rows, cols, w = (np.asarray(a) for a in g.ordered_pairs)
+    shape_ok = (
+        rows.ndim == 1 and rows.shape == cols.shape == w.shape
+        and rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
+        and bool(np.all((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)))
+        # row * n + col grows strictly: sorted by (row, col), no pair twice
+        and bool(np.all(np.diff(rows * n + cols) > 0))
+    )
+    report.add("matrix_shape", shape_ok, "" if shape_ok else "need sorted, unique, in-range pairs")
     if not shape_ok:
         return report
-    report.add("nonnegative_weights", bool((w >= 0).all()))
-    sym = bool(np.array_equal(w, w.T))
+    report.add("nonnegative_weights", bool(np.all(w > 0)))
+    # Sorted pairs are symmetric exactly when their transposes, sorted the
+    # same way, are the same pairs with the same weights.
+    t = np.lexsort((rows, cols))
+    sym = bool(np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols)
+               and np.array_equal(w[t], w))
     report.add("symmetry", sym, "" if sym else "weights[x, y] != weights[y, x] somewhere")
-    report.add("zero_diagonal", bool((np.diag(w) == 0).all()))
-    report.add("connected", _connected(w))
+    report.add("zero_diagonal", bool(np.all(rows != cols)))
+    report.add("connected", n > 0 and _connected(n, rows, cols))
     return report
 
 
@@ -208,5 +232,5 @@ class GraphSummary:
 
 def graph_summary(g: Graph) -> GraphSummary:
     """Cardinalities, the maximal edge weight, and the degree map."""
-    degrees = {v: g.degree(v) for v in g.vertices}
+    degrees = dict(zip(g.vertices, np.bincount(g.ordered_pairs[0], minlength=g.n_vertices).tolist()))
     return GraphSummary(g.n_interior, g.n_boundary, g.n_vertices, g.max_weight(), degrees)

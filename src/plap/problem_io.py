@@ -172,15 +172,11 @@ def parse_problem(path: str | Path) -> ProblemSpec:
 def spec_to_document(spec: ProblemSpec, reference: dict[str, float] | None = None) -> dict:
     """Problem spec back to the file layout (per-vertex maps, full precision)."""
     g = spec.graph
-    seen = set()
-    edges = []
+    labels = g.vertices
     rows, cols, w = g.ordered_pairs
-    for r, c, wv in zip(rows, cols, w):
-        key = (min(r, c), max(r, c))
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append({"u": g.vertices[key[0]], "v": g.vertices[key[1]], "w": float(wv)})
+    upper = rows < cols  # each undirected edge once, in (row, col) order
+    edges = [{"u": labels[r], "v": labels[c], "w": wv}
+             for r, c, wv in zip(rows[upper].tolist(), cols[upper].tolist(), w[upper].tolist())]
     nl = spec.f
     doc: dict[str, Any] = {
         "graph": {

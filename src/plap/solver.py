@@ -29,6 +29,10 @@ from .errors import (
 from .model import ProblemSpec, instance_constants
 
 _STEP_MIN = 1e-18
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_INIT_STEP = 1.0
+_PATH_POINTS = 21
 _BB_LO, _BB_HI = 1e-10, 1e10
 _NORM_BLOWUP = 1e10
 
@@ -37,18 +41,12 @@ _NORM_BLOWUP = 1e10
 class SolverOptions:
     grad_tol: float = 1e-9          # sup-norm on the (projected) residual
     max_iter: int = 200_000
-    armijo_c: float = 1e-4
-    armijo_backtrack: float = 0.5
-    armijo_init_step: float = 1.0
     restarts: int = 16
     rng_seed: int = 0
-    path_points: int = 21
 
     def __post_init__(self):
         if self.grad_tol <= 0 or self.max_iter <= 0:
             raise DomainError("tolerances and iteration budgets must be positive")
-        if not (0.0 < self.armijo_c < 1.0):
-            raise DomainError("armijo_c must lie in (0, 1)")
 
 
 # -- norm constraints on the interior vector ---------------------------------
@@ -64,12 +62,7 @@ class Annulus:
     gamma: float
 
 
-@dataclass(frozen=True)
-class Sphere:
-    radius: float
-
-
-Constraint = Ball | Annulus | Sphere | None
+Constraint = Ball | Annulus | None
 
 
 def _project(constraint: Constraint, v: np.ndarray) -> np.ndarray:
@@ -80,12 +73,9 @@ def _project(constraint: Constraint, v: np.ndarray) -> np.ndarray:
         if nv <= constraint.radius:
             return v
         return v * (constraint.radius / nv)
-    if isinstance(constraint, Sphere):
-        target = constraint.radius
-    else:
-        if constraint.zeta <= nv <= constraint.gamma:
-            return v
-        target = constraint.zeta if nv < constraint.zeta else constraint.gamma
+    if constraint.zeta <= nv <= constraint.gamma:
+        return v
+    target = constraint.zeta if nv < constraint.zeta else constraint.gamma
     if nv == 0.0:
         # Radial projection is undefined at the origin; use a fixed direction.
         out = np.zeros_like(v)
@@ -100,8 +90,6 @@ def _feasible(constraint: Constraint, v: np.ndarray, tol: float = 1e-9) -> bool:
     nv = float(np.linalg.norm(v))
     if isinstance(constraint, Ball):
         return nv <= constraint.radius * (1 + tol) + tol
-    if isinstance(constraint, Sphere):
-        return abs(nv - constraint.radius) <= tol * (1 + constraint.radius)
     return constraint.zeta * (1 - tol) - tol <= nv <= constraint.gamma * (1 + tol) + tol
 
 
@@ -155,10 +143,6 @@ def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
 def _residual_measure(constraint: Constraint, v: np.ndarray, g: np.ndarray) -> float:
     if constraint is None:
         return float(np.max(np.abs(g)))
-    if isinstance(constraint, Sphere):
-        r2 = constraint.radius ** 2
-        tang = g - (float(np.dot(g, v)) / r2) * v
-        return float(np.max(np.abs(tang)))
     return float(np.max(np.abs(v - _project(constraint, v - g))))
 
 
@@ -185,7 +169,7 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
     converged = False
     best_residual = math.inf
     since_improved = 0
-    last_step = opts.armijo_init_step
+    last_step = _INIT_STEP
     it = 0
     while it < opts.max_iter:
         residual = _residual_measure(constraint, v, g)
@@ -220,10 +204,10 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
             if nd2 == 0.0:
                 break  # displacement below representable resolution
             Jc = _J(spec, cand)
-            if math.isfinite(Jc) and Jc <= J - (opts.armijo_c / step) * nd2:
+            if math.isfinite(Jc) and Jc <= J - (_ARMIJO_C / step) * nd2:
                 accepted = True
                 break
-            step *= opts.armijo_backtrack
+            step *= _BACKTRACK
         if not accepted:
             # Near the minimum the J decrease per step drops below the
             # rounding floor of J and Armijo can no longer certify progress;
@@ -244,7 +228,7 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
                         accepted = True
                         new_g = gc
                         break
-                step *= opts.armijo_backtrack
+                step *= _BACKTRACK
         if not accepted:
             break
         last_step = max(step, _BB_LO)
@@ -347,7 +331,7 @@ def _respace(nodes: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunction,
-                  path_points: int | None = None, opts: SolverOptions | None = None,
+                  path_points: int = _PATH_POINTS, opts: SolverOptions | None = None,
                   barrier: float | None = None) -> CriticalPoint:
     """Deform a piecewise-linear path from u0 to u1 onto the pass point.
 
@@ -359,7 +343,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     Saddle at the pass level (flagged unconverged at the iteration budget).
     """
     opts = opts or SolverOptions()
-    K = path_points or opts.path_points
+    K = path_points
     if K < 3:
         raise DomainError("need at least 3 path points")
     a = u0.interior().copy()
@@ -372,10 +356,10 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     # a climb far beyond the initial path maximum means the node is running
     # up an unbounded bowl instead of locating the crest.
     ceiling = max(jvals) + 10.0 * (1.0 + abs(max(jvals)))
-    climb_up = opts.armijo_init_step
-    climb_dn = opts.armijo_init_step
-    refine_step = opts.armijo_init_step
-    relax_steps = [opts.armijo_init_step] * K
+    climb_up = _INIT_STEP
+    climb_dn = _INIT_STEP
+    refine_step = _INIT_STEP
+    relax_steps = [_INIT_STEP] * K
     # Energy comparisons bottom out once J differences reach the rounding
     # floor (gradient around sqrt(eps)); below this the climb switches to a
     # gradient-contraction iteration whose acceptance scales with |g| itself.
@@ -455,15 +439,15 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
                 for _ in range(40):
                     cand = v - stp * g_perp
                     Jc = _J(spec, cand)
-                    if math.isfinite(Jc) and Jc <= jvals[k_star] - opts.armijo_c * stp * gp2:
+                    if math.isfinite(Jc) and Jc <= jvals[k_star] - _ARMIJO_C * stp * gp2:
                         nodes[k_star] = cand
                         jvals[k_star] = Jc
                         climb_dn = min(stp * 1.5, _BB_HI)
                         moved = True
                         break
-                    stp *= opts.armijo_backtrack
+                    stp *= _BACKTRACK
                 else:
-                    climb_dn = opts.armijo_init_step
+                    climb_dn = _INIT_STEP
         close_moved = False
         if not moved:
             # Close phase: the J comparisons of the far phase bottom out at the
@@ -492,7 +476,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
                     break
                 stp *= 0.5
             else:
-                refine_step = opts.armijo_init_step
+                refine_step = _INIT_STEP
         if moved:
             stalls = 0
             if close_moved and not prefer_close:
@@ -531,12 +515,12 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
                 for _ in range(30):
                     cand = nodes[k] - stp * gk
                     Jc = _J(spec, cand)
-                    if math.isfinite(Jc) and Jc <= jvals[k] - opts.armijo_c * stp * gk2:
+                    if math.isfinite(Jc) and Jc <= jvals[k] - _ARMIJO_C * stp * gk2:
                         nodes[k] = cand
                         jvals[k] = Jc
                         relax_steps[k] = min(stp * 2.0, _BB_HI)
                         break
-                    stp *= opts.armijo_backtrack
+                    stp *= _BACKTRACK
                 else:
                     relax_steps[k] = max(stp, _STEP_MIN)
         if it % 50 == 0:
@@ -708,8 +692,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             try:
                 u_hill = hill_point(spec, sphere_bound)
                 u_low = best.u if best is not None else DirichletFunction.zeros(spec.graph)
-                saddle = mountain_pass(spec, u_low, u_hill, opts.path_points, opts,
-                                       barrier=sphere_bound)
+                saddle = mountain_pass(spec, u_low, u_hill, opts=opts, barrier=sphere_bound)
                 candidates.append(saddle)
                 if not saddle.converged:
                     notes.append(

@@ -56,6 +56,12 @@ def make_cycle_pendant_graph(rng, k=3):
 
 def random_graph(rng, n_max=12):
     """Random connected graph, 2..n_max vertices, both parts nonempty."""
+    return build_graph(*random_graph_input(rng, n_max))
+
+
+def random_graph_input(rng, n_max=12):
+    """(interior, boundary, edges) of ``random_graph``: a random spanning tree
+    plus up to n extra edges, each edge listed once as (lower, higher) label."""
     n = int(rng.integers(2, n_max + 1))
     n_int = int(rng.integers(1, n))
     labels = [f"w{i}" for i in range(n)]
@@ -70,10 +76,8 @@ def random_graph(rng, n_max=12):
         a, b = (int(x) for x in rng.integers(0, n, 2))
         if a != b:
             edges.setdefault((min(a, b), max(a, b)), float(rng.uniform(0.2, 3.0)))
-    return build_graph(
-        labels[:n_int], labels[n_int:],
-        [(labels[a], labels[b], w) for (a, b), w in edges.items()],
-    )
+    return (labels[:n_int], labels[n_int:],
+            [(labels[a], labels[b], w) for (a, b), w in edges.items()])
 
 
 @st.composite

@@ -248,6 +248,24 @@ def test_reports_byte_identical_across_processes():
     assert a.stdout == b.stdout
 
 
+def test_library_and_solve_do_not_import_scipy():
+    # The connectivity check is numpy only; importing scipy.sparse.csgraph
+    # would add tens of MB of resident memory to every process.
+    code = (
+        "import contextlib, io, sys\n"
+        "import plap, plap.cli\n"
+        "g = plap.build_graph(['a'], ['b', 'c'], [('a', 'b', 1.0), ('a', 'c', 1.0)])\n"
+        "assert plap.validate_graph(g).passed\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert plap.cli.main(['solve', sys.argv[1], '--seed', '0']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, cubic_file()],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_solve_failure_exit_code(capsys, tmp_path):
     # a steep instance at large lambda where no search is certified
     doc = base_document()

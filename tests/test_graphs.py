@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from plap import build_graph, graph_summary, validate_graph
+from plap import (
+    SolverOptions,
+    build_graph,
+    graph_summary,
+    instance_constants,
+    lambda_thresholds,
+    solve,
+    spec_to_document,
+    validate_graph,
+)
 from plap.errors import (
     Disconnected,
     DuplicateVertex,
@@ -14,7 +25,14 @@ from plap.errors import (
 )
 from plap.graphs import Graph
 
-from conftest import make_path_graph, make_triangle_pendant_graph, random_graph
+from conftest import (
+    cubic_star_spec,
+    make_path_graph,
+    make_triangle_pendant_graph,
+    random_graph,
+    random_graph_input,
+    random_power_spec,
+)
 
 
 def test_triangle_pendant_summary():
@@ -98,20 +116,102 @@ def test_validation_passes_after_build():
         assert g.n_vertices == g.n_interior + g.n_boundary
 
 
+def pairs(*triples):
+    """ordered_pairs arrays from (row, col, weight) triples, in the given order."""
+    rows, cols, w = zip(*triples)
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(w)
+
+
 def test_validation_flags_injected_asymmetry():
-    w = np.array([[0.0, 1.0, 1.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    g = Graph(("v1",), ("v0", "v2"), w)
+    # w(v1, v0) = 1.0 but w(v0, v1) = 0.5
+    g = Graph(("v1",), ("v0", "v2"), pairs((0, 1, 1.0), (0, 2, 1.0), (1, 0, 0.5), (2, 0, 1.0)))
     report = validate_graph(g)
     assert not report.passed
     assert any(c.name == "symmetry" for c in report.failures())
 
 
 def test_validation_flags_isolated_vertex():
-    w = np.zeros((3, 3))
-    w[0, 1] = w[1, 0] = 1.0
-    g = Graph(("a",), ("b", "c"), w)
+    g = Graph(("a",), ("b", "c"), pairs((0, 1, 1.0), (1, 0, 1.0)))
     report = validate_graph(g)
     assert any(c.name == "connected" for c in report.failures())
+
+
+# The path v0 -- v1 -- v2 with v1 interior: indices v1 = 0, v0 = 1, v2 = 2.
+PATH_PAIRS = [(0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)]
+
+
+@pytest.mark.parametrize("stored, failing", [
+    (PATH_PAIRS[:1] + PATH_PAIRS, "matrix_shape"),
+    ([PATH_PAIRS[1], PATH_PAIRS[0]] + PATH_PAIRS[2:], "matrix_shape"),
+    (PATH_PAIRS[:2] + [(0, 3, 1.0)] + PATH_PAIRS[2:] + [(3, 0, 1.0)], "matrix_shape"),
+    ([(-1, 0, 1.0), (0, -1, 1.0)] + PATH_PAIRS, "matrix_shape"),
+    ([(0, 0, 1.0)] + PATH_PAIRS, "zero_diagonal"),
+    (PATH_PAIRS[:1] + [(0, 2, 0.0)] + PATH_PAIRS[2:3] + [(2, 0, 0.0)], "nonnegative_weights"),
+], ids=["repeated", "unsorted", "index_too_large", "index_negative", "self_pair", "zero_weight"])
+def test_validation_flags_malformed_pairs(stored, failing):
+    assert validate_graph(Graph(("v1",), ("v0", "v2"), pairs(*PATH_PAIRS))).passed
+    report = validate_graph(Graph(("v1",), ("v0", "v2"), pairs(*stored)))
+    assert [c.name for c in report.failures()] == [failing]
+
+
+def test_validation_reports_a_graph_without_vertices():
+    empty = np.zeros(0, dtype=np.int64)
+    report = validate_graph(Graph((), (), (empty, empty, np.zeros(0))))
+    assert [c.name for c in report.failures()] == ["nonempty_sets", "connected"]
+
+
+def test_ordered_pairs_hold_each_input_edge_twice_in_row_col_order():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        interior, boundary, edges = random_graph_input(rng)
+        g = build_graph(interior, boundary, edges)
+        rows, cols, w = g.ordered_pairs
+        assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
+        index = {v: i for i, v in enumerate(interior + boundary)}
+        stored = sorted(zip(rows.tolist(), cols.tolist(), w.tolist()))
+        assert stored == sorted([(index[a], index[b], wv) for a, b, wv in edges]
+                                + [(index[b], index[a], wv) for a, b, wv in edges])
+        dense = np.zeros((g.n_vertices, g.n_vertices))
+        for a, b, wv in edges:
+            dense[index[a], index[b]] = dense[index[b], index[a]] = wv
+        assert np.array_equal(g.weights, dense)
+        assert not g.weights.flags.writeable
+        flipped = build_graph(interior, boundary, [(b, a, wv) for a, b, wv in edges[::-1]])
+        assert all(np.array_equal(x, y) for x, y in zip(flipped.ordered_pairs, g.ordered_pairs))
+
+
+def test_grid_64_builds_validates_and_summarizes_in_edge_memory():
+    side = 64
+    # A side x side interior grid; the boundary is the ring of vertices one
+    # step outside it, each joined to its one interior neighbour.
+    interior = [f"{i},{j}" for i in range(side) for j in range(side)]
+    boundary = ([f"{i},{j}" for i in (-1, side) for j in range(side)]
+                + [f"{i},{j}" for j in (-1, side) for i in range(side)])
+    edges = ([(f"{i},{j}", f"{i + 1},{j}", 1.0) for i in range(-1, side) for j in range(side)]
+             + [(f"{i},{j}", f"{i},{j + 1}", 1.0) for i in range(side) for j in range(-1, side)])
+    tracemalloc.start()
+    try:
+        g = build_graph(interior, boundary, edges)
+        report = validate_graph(g)
+        summary = graph_summary(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert summary.n_vertices == side * side + 4 * side
+    assert len(g.ordered_pairs[0]) == 2 * len(edges)
+    assert peak < 16 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_library_never_builds_the_dense_weight_view():
+    for spec in (cubic_star_spec(lam=0.4), random_power_spec(np.random.default_rng(2))):
+        g = spec.graph
+        validate_graph(g)
+        graph_summary(g)
+        lambda_thresholds(instance_constants(spec))
+        solve(spec, SolverOptions(restarts=2))
+        spec_to_document(spec)
+        assert "weights" not in vars(g)
 
 
 def test_weight_matrix_is_symmetric_with_zero_diagonal():

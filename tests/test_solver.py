@@ -11,7 +11,6 @@ from plap import (
     PowerPlus,
     ProblemSpec,
     RegimeTag,
-    Sphere,
     SolverOptions,
     descend,
     energy_value,
@@ -308,13 +307,6 @@ def test_solve_deterministic_given_seed():
     for a, b in zip(rep1.solutions, rep2.solutions):
         assert np.array_equal(a.u.values, b.u.values)
         assert a.value == b.value
-
-
-def test_sphere_constraint_keeps_radius():
-    spec = cubic_star_spec()
-    pt = descend(spec, DirichletFunction.from_interior(spec.graph, [0.7]),
-                 Sphere(0.7), FAST)
-    assert abs(pt.norm - 0.7) <= 1e-12
 
 
 def test_annulus_projection_respects_both_radii():

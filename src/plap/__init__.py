@@ -21,10 +21,12 @@ from .bounds import (
     LambdaThresholds,
     Regime,
     RegimeTag,
+    UniquenessCertificate,
     check_inequality,
     classify_regime,
     inequality_bound,
     lambda_thresholds,
+    uniqueness_certificate,
 )
 from .calculus import (
     DirichletFunction,

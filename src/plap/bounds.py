@@ -6,7 +6,8 @@ Euclidean norm.  The thresholds lambda1, lambda2, lambda3(gamma), the minimal
 annulus radius gamma0, the admissible spike height t0(lambda) and the lower
 bound of the energy on the small sphere are closed formulas in the instance
 constants; which existence/multiplicity regime applies is read off from the
-exponent relations and the thresholds.
+exponent relations and the thresholds, and ``uniqueness_certificate`` tells
+in closed form when the positive solution is unique.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .calculus import DirichletFunction, edge_flux, edge_pairing, norm
 from .errors import DomainError, DegenerateExponent, GammaTooSmall
-from .model import InstanceConstants, ProblemSpec, instance_constants
+from .model import InstanceConstants, PowerPlus, ProblemSpec, instance_constants
 
 _ITEMS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 
@@ -246,3 +247,60 @@ def classify_regime(
         if gamma > th.gamma0 and lam < th.lambda3(gamma):
             tags.add(RegimeTag.TWO_SOLUTIONS_KKT)
     return Regime(frozenset(tags))
+
+
+@dataclass(frozen=True)
+class UniquenessCertificate:
+    certified: bool
+    reason: str
+
+
+def uniqueness_certificate(spec: ProblemSpec) -> UniquenessCertificate:
+    """Closed-form test that J has at most one critical point.
+
+    It holds when f(x, t) = phi t^(m-1) + psi (``PowerPlus``), p is one
+    constant on all of S-bar and every m <= p.  Then
+
+        f(x, t) / t^(p-1) = phi t^(m-p) + psi t^(1-p)
+
+    is strictly decreasing on (0, inf) at every x, since psi > 0.
+
+    Positivity.  Let u be a critical point and let min_S u <= 0 be attained
+    at x.  Every edge term sp(u(x) - u(y), p) w(x, y) of the gradient at x is
+    <= 0 (u(y) >= u(x) on S, and 0 >= u(x) on the boundary), so is
+    q(x) sp(u(x), p), and the source term is -lambda f(x, 0) =
+    -lambda psi(x) < 0: the gradient at x is negative, a contradiction.  So every critical point is > 0 on S, and
+    with constant p it solves -lap_p u + q u^(p-1) = lambda f(x, u).
+
+    Uniqueness (Diaz & Saa, C. R. Acad. Sci. Paris 305, 1987; the discrete
+    Picone inequality).  By the hidden convexity of
+    (a, b) -> |a^(1/p) - b^(1/p)|^p on [0, inf)^2 (Brasco & Franzina, Kodai
+    Math. J. 37, 2014), E(z) = 1/(2p) sum_{x,y} |z(x)^(1/p) - z(y)^(1/p)|^p
+    w(x, y) is convex on the cone z >= 0, z = 0 on the boundary, and its
+    gradient at z = u^p is (-lap_p u) / (p u^(p-1)).  Monotonicity of the
+    gradient of a convex function, for two positive solutions u and v, reads
+
+        sum_S [(-lap_p u)/u^(p-1) - (-lap_p v)/v^(p-1)] (u^p - v^p) >= 0.
+
+    Substituting the equation cancels q and leaves
+
+        lambda sum_S [f(x, u)/u^(p-1) - f(x, v)/v^(p-1)] (u^p - v^p) >= 0,
+
+    where every term is <= 0 and is 0 only where u(x) = v(x).  So u = v: a
+    descent that converges has found the only critical point, and further
+    starts can only find it again.
+    """
+    f = spec.f
+    if type(f) is not PowerPlus:
+        return UniquenessCertificate(
+            False, f"nonlinearity kind {f.kind} has no closed-form monotonicity test")
+    if spec.p.pbar_minus != spec.p.pbar_plus:
+        return UniquenessCertificate(False, "p is not constant on S-bar")
+    p = spec.p.pbar_plus
+    k = int(np.argmax(f.m))
+    if f.m[k] > p:
+        return UniquenessCertificate(
+            False, f"m({spec.graph.interior[k]}) = {f.m[k]:g} > p = {p:g}")
+    return UniquenessCertificate(
+        True, f"power_plus with constant p = {p:g} and max m = {f.m[k]:g} <= p: "
+              f"f(x, t)/t^(p-1) is strictly decreasing, so J has at most one critical point")

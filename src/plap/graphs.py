@@ -30,13 +30,14 @@ VertexId = str
 Edge = tuple[VertexId, VertexId, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable weighted graph over interior + boundary vertices.
 
     Vertices keep their insertion order (interior first, then boundary), and
     every matrix/vector in the package is indexed in that order, so results
-    are reproducible run to run.
+    are reproducible run to run.  Equality and hashing are by identity, as
+    for the fields and the problem built on a graph.
     """
 
     interior: tuple[VertexId, ...]

@@ -39,7 +39,7 @@ def _vertex_array(
     return arr.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentField:
     """p: vertex -> [2, inf).  Extrema are cached over S and over all of S-bar."""
 
@@ -80,7 +80,7 @@ class ExponentField:
         return self.values[: self.graph.n_interior]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
     """q: interior vertex -> (0, inf)."""
 
@@ -110,7 +110,7 @@ class Potential:
         return float(self.values.max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthEnvelope:
     """Two-sided power bounds on f over the interior:
 
@@ -398,7 +398,7 @@ def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A complete instance: graph, exponents, potential, nonlinearity, lambda."""
 

@@ -192,6 +192,8 @@ def solve_report_document(spec: ProblemSpec, rep: SolveReport, gamma: float | No
         "instance": constants_section(instance_constants(spec)),
         "thresholds": th_sec,
         "regime": rep.regime.sorted_names(),
+        "uniqueness": {"certified": rep.uniqueness.certified,
+                       "reason": rep.uniqueness.reason},
         "solutions": [solution_section(pt) for pt in rep.solutions],
         "sphere_lower_bound": rep.sphere_lower_bound,
         "kkt": None,

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import LambdaThresholds, Regime, RegimeTag, classify_regime, lambda_thresholds
+from .bounds import (
+    LambdaThresholds,
+    Regime,
+    RegimeTag,
+    UniquenessCertificate,
+    classify_regime,
+    lambda_thresholds,
+    uniqueness_certificate,
+)
 from .calculus import DirichletFunction
 from .energy import energy_value, gradient_values, residual_original
 from .errors import (
@@ -47,6 +55,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.grad_tol <= 0 or self.max_iter <= 0:
             raise DomainError("tolerances and iteration budgets must be positive")
+        if self.restarts < 0:
+            raise DomainError(f"restarts must be nonnegative, got {self.restarts}")
 
 
 # -- norm constraints on the interior vector ---------------------------------
@@ -250,6 +260,21 @@ def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
             return d / nd
 
 
+def _spike_energies(spec: ProblemSpec, t: float, F0: np.ndarray) -> np.ndarray:
+    # J(t e_i) for every interior i at once: the edge term of the pairs at
+    # row i or column i, the potential and source at i, and F_j(0) elsewhere.
+    g = spec.graph
+    rows, cols, w = g.ordered_pairs
+    a = t ** spec._p_rows / spec._p_rows * w
+    n = g.n_interior
+    dirichlet = 0.5 * (np.bincount(rows, a, g.n_vertices)[:n]
+                       + np.bincount(cols, a, g.n_vertices)[:n])
+    pi = spec.p.interior()
+    potential = t ** pi / pi * spec.q.values
+    Ft = spec.f.primitive_vector(np.full(n, t))
+    return dirichlet + potential - spec.lam * (F0.sum() - F0 + Ft)
+
+
 def spike_point(spec: ProblemSpec, opts: SolverOptions | None = None) -> DirichletFunction:
     """A single-vertex bump with negative energy strictly inside the small ball.
 
@@ -266,12 +291,9 @@ def spike_point(spec: ProblemSpec, opts: SolverOptions | None = None) -> Dirichl
         t = min(0.5 * th.t0(spec.lam), 0.9 * radius)
     n = spec.graph.n_interior
     best: tuple[float, float] | None = None
+    F0 = spec.f.primitive_vector(np.zeros(n))
     for _ in range(200):
-        vals = []
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = t
-            vals.append(_J(spec, v))
+        vals = _spike_energies(spec, t, F0)
         i_best = int(np.argmin(vals))
         if vals[i_best] < 0.0:
             v = np.zeros(n)
@@ -600,6 +622,7 @@ class KKTInfo:
 @dataclass
 class SolveReport:
     regime: Regime
+    uniqueness: UniquenessCertificate
     thresholds: LambdaThresholds | None
     solutions: list[CriticalPoint]
     sphere_lower_bound: float | None
@@ -630,8 +653,11 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     regime descends inside the ball from a negative-energy spike and random
     starts; the two-solution regimes add a mountain-pass search toward a
     second critical point (and, with gamma, an annulus-constrained
-    minimization with KKT multipliers).  Sub-operation failures become notes;
-    partial results are returned flagged rather than raised.
+    minimization with KKT multipliers).  When ``uniqueness_certificate``
+    holds, the unconstrained descent from zero that converges is the only
+    critical point, and the random restarts are skipped.  Sub-operation
+    failures become notes; partial results are returned flagged rather than
+    raised.
     """
     opts = opts or SolverOptions()
     notes: list[str] = []
@@ -642,6 +668,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     else:
         notes.append("no growth envelope: thresholds unavailable, no regime applies")
     regime = classify_regime(c, spec.lam, gamma)
+    uniqueness = uniqueness_certificate(spec)
     rng = np.random.default_rng(opts.rng_seed)
     n = spec.graph.n_interior
     radius = c.n_vertices ** -0.5
@@ -729,10 +756,10 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             except InfeasiblePoint as exc:
                 notes.append(f"KKT extraction failed: {exc}")
     else:
-        starts = [np.zeros(n)]
-        for _ in range(opts.restarts):
-            starts.append(rng.uniform(-0.5, 1.5, n))
-        points = [run(s, None, seed=i) for i, s in enumerate(starts)]
+        points = [run(np.zeros(n), None, seed=0)]
+        if not (uniqueness.certified and points[0].converged):
+            for i in range(1, opts.restarts + 1):
+                points.append(run(rng.uniform(-0.5, 1.5, n), None, seed=i))
         good = [pt for pt in points if pt.converged]
         if good:
             candidates.append(min(good, key=lambda pt: pt.value))
@@ -756,7 +783,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
         if not rep.passed:
             notes.append(f"positivity certificate failed: {rep.message}")
     return SolveReport(
-        regime=regime, thresholds=thresholds, solutions=solutions,
+        regime=regime, uniqueness=uniqueness, thresholds=thresholds, solutions=solutions,
         sphere_lower_bound=sphere_bound, kkt=kkt_info, notes=notes,
         seed=opts.rng_seed,
     )

@@ -81,9 +81,9 @@ def random_graph_input(rng, n_max=12):
 
 
 @st.composite
-def problem_specs(draw):
-    """A connected graph (2 to 10 vertices) with per-vertex p in [2, 6], q in
-    [0.1, 3], lambda in [0.01, 2], and power_plus or arctan_power with m in [2, 6]."""
+def connected_graphs(draw):
+    """A connected graph with 2 to 10 vertices, both parts nonempty, weights
+    in [0.2, 3]."""
     n = draw(st.integers(2, 10))
     n_int = draw(st.integers(1, n - 1))
     label = [f"w{k}" for k in draw(st.permutations(range(n)))]
@@ -95,11 +95,23 @@ def problem_specs(draw):
                               max_size=n)):
         if a != b:
             edges.setdefault((min(a, b), max(a, b)), draw(weight))
-    g = build_graph(label[:n_int], label[n_int:],
-                    [(label[a], label[b], w) for (a, b), w in edges.items()])
+    return build_graph(label[:n_int], label[n_int:],
+                       [(label[a], label[b], w) for (a, b), w in edges.items()])
+
+
+def _float_lists(draw, lo, hi, size):
+    return draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+
+
+@st.composite
+def problem_specs(draw):
+    """A connected graph (2 to 10 vertices) with per-vertex p in [2, 6], q in
+    [0.1, 3], lambda in [0.01, 2], and power_plus or arctan_power with m in [2, 6]."""
+    g = draw(connected_graphs())
+    n, n_int = g.n_vertices, g.n_interior
 
     def values(lo, hi, size):
-        return draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+        return _float_lists(draw, lo, hi, size)
 
     p = ExponentField(g, values(2.0, 6.0, n))
     q = Potential(g, values(0.1, 3.0, n_int))
@@ -109,6 +121,23 @@ def problem_specs(draw):
     else:
         f = ArctanPower(g, m=m, phi=phi, psi=psi)
     return ProblemSpec(g, p, q, f, draw(st.floats(0.01, 2.0)))
+
+
+@st.composite
+def unique_solution_specs(draw):
+    """Instances the uniqueness certificate accepts: a connected graph, one
+    constant p in [2, 6], q in [0.1, 3], power_plus with m in [2, p] at every
+    vertex, and lambda in lambda2 + [0.05, 2], so that no small-ball regime
+    applies and ``solve`` runs its unconstrained branch."""
+    g = draw(connected_graphs())
+    n_int = g.n_interior
+    pv = draw(st.floats(2.0, 6.0))
+    p = ExponentField.constant(g, pv)
+    q = Potential(g, _float_lists(draw, 0.1, 3.0, n_int))
+    f = PowerPlus(g, phi=_float_lists(draw, 0.1, 2.0, n_int),
+                  m=_float_lists(draw, 2.0, pv, n_int), psi=_float_lists(draw, 0.1, 2.0, n_int))
+    lambda2 = lambda_thresholds(instance_constants(ProblemSpec(g, p, q, f, 1.0))).lambda2
+    return ProblemSpec(g, p, q, f, lambda2 + draw(st.floats(0.05, 2.0)))
 
 
 def random_dirichlet(rng, graph, lo=-2.0, hi=2.0):

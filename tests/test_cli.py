@@ -248,6 +248,22 @@ def test_reports_byte_identical_across_processes():
     assert a.stdout == b.stdout
 
 
+def test_certified_report_byte_identical_across_processes():
+    cmd = [sys.executable, "-m", "plap", "solve", linear_file()]
+    a = subprocess.run(cmd, capture_output=True)
+    b = subprocess.run(cmd, capture_output=True)
+    assert a.returncode == 0
+    assert a.stdout == b.stdout
+    assert json.loads(a.stdout)["uniqueness"]["certified"] is True
+
+
+def test_negative_restarts_exit_2(capsys):
+    code, out, err = run_cli(["solve", cubic_file(), "--restarts", "-3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "restarts" in err
+
+
 def test_library_and_solve_do_not_import_scipy():
     # The connectivity check is numpy only; importing scipy.sparse.csgraph
     # would add tens of MB of resident memory to every process.

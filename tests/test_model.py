@@ -283,3 +283,19 @@ def test_quadrature_failure_on_non_finite_integrand():
             primitive_F(f, "v1", 1.0)
         with pytest.raises(QuadratureFailure, match="non-finite"):
             f.primitive_vector(np.array([2.0]))
+
+
+def test_array_holding_dataclasses_compare_and_hash_by_identity():
+    def build():
+        g = make_triangle_pendant_graph()
+        p = ExponentField.constant(g, 3.0)
+        q = Potential.constant(g, 1.0)
+        f = PowerPlus(g, 1.0, 2.5, 0.5)
+        return [g, p, q, f.envelope, ProblemSpec(g, p, q, f, 0.4)]
+
+    for a, b in zip(build(), build()):
+        assert type(a) is type(b)
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)  # equal content, other object
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2}[a] == 1

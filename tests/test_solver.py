@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import plap.solver
 from plap import (
@@ -23,7 +24,7 @@ from plap import (
     spike_point,
     verify_positive,
 )
-from plap.errors import InfeasiblePoint, InfeasibleStart, ScanExhausted
+from plap.errors import DomainError, InfeasiblePoint, InfeasibleStart, ScanExhausted
 
 from conftest import (
     bisect_roots,
@@ -31,9 +32,12 @@ from conftest import (
     cubic_star_spec,
     make_cycle_pendant_graph,
     make_path_graph,
+    make_triangle_pendant_graph,
+    problem_specs,
     random_coercive_spec,
     random_dirichlet,
     scalar_equation,
+    unique_solution_specs,
 )
 
 FAST = SolverOptions(restarts=3)
@@ -281,18 +285,23 @@ def test_solve_sphere_estimate_recorded():
     assert rep.sphere_lower_bound > 0.0
 
 
+def _counting_descend(monkeypatch):
+    calls = []
+
+    def counting(problem, u0, constraint=None, *args, **kwargs):
+        calls.append(constraint)
+        return descend(problem, u0, constraint, *args, **kwargs)
+
+    monkeypatch.setattr(plap.solver, "descend", counting)
+    return calls
+
+
 @pytest.mark.parametrize("restarts", [0, 3])
 def test_solve_runs_no_sphere_descents(monkeypatch, restarts):
     # The ball regime descends from the spike, the origin and the random
     # starts, and from nothing else: the barrier is closed form.
     spec = cubic_star_spec(lam=0.4)
-    calls = []
-
-    def counting_descend(problem, u0, constraint=None, *args, **kwargs):
-        calls.append(constraint)
-        return descend(problem, u0, constraint, *args, **kwargs)
-
-    monkeypatch.setattr(plap.solver, "descend", counting_descend)
+    calls = _counting_descend(monkeypatch)
     rep = solve(spec, SolverOptions(restarts=restarts))
     assert len(rep.solutions) == 2
     assert len(calls) == 2 + restarts
@@ -403,3 +412,159 @@ def test_descend_constructions_do_not_grow_with_iterations(monkeypatch):
         assert pt.iterations == budget
         per_run.append(len(counted))
     assert per_run[0] == per_run[1] <= 2, per_run
+
+
+def test_negative_restarts_rejected():
+    with pytest.raises(DomainError, match="restarts"):
+        SolverOptions(restarts=-3)
+    assert SolverOptions(restarts=0).restarts == 0
+
+
+# -- spike point ----------------------------------------------------------------
+
+def _spike(spec, t, i):
+    v = np.zeros(spec.graph.n_interior)
+    v[i] = t
+    return v
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(problem_specs())
+def test_spike_energies_are_the_energy_of_each_spike(spec):
+    n = spec.graph.n_interior
+    F0 = spec.f.primitive_vector(np.zeros(n))
+    for t in (0.3, 1e-3):
+        got = plap.solver._spike_energies(spec, t, F0)
+        want = [energy_value(spec, DirichletFunction.from_interior(spec.graph, _spike(spec, t, i)))
+                for i in range(n)]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_spike_energies_keep_the_constant_of_a_custom_primitive():
+    from plap import CustomNonlinearity
+
+    g = make_triangle_pendant_graph()
+    # F(x, 0) = 0.7 is not 0: every vertex off the spike still contributes it
+    f = CustomNonlinearity(g, lambda x, t: 1.0 + t,
+                           primitive_fn=lambda x, t: 0.7 + t + 0.5 * t * t)
+    spec = ProblemSpec(g, ExponentField.constant(g, 3.0), Potential.constant(g, 1.0), f, 0.4)
+    F0 = f.primitive_vector(np.zeros(3))
+    got = plap.solver._spike_energies(spec, 0.25, F0)
+    want = [energy_value(spec, DirichletFunction.from_interior(g, _spike(spec, 0.25, i)))
+            for i in range(3)]
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+def _spike_by_scan(spec):
+    # The per-vertex scan spike_point replaced: J at every single-vertex
+    # spike, the first height whose best spike has J < 0.
+    c = instance_constants(spec)
+    radius = c.n_vertices ** -0.5
+    t = min(0.5 * lambda_thresholds(c).t0(spec.lam), 0.9 * radius)
+    n = spec.graph.n_interior
+    while True:
+        vals = [energy_value(spec, DirichletFunction.from_interior(spec.graph, _spike(spec, t, i)))
+                for i in range(n)]
+        i_best = int(np.argmin(vals))
+        if vals[i_best] < 0.0:
+            return _spike(spec, t, i_best)
+        t *= 0.5
+
+
+def test_spike_point_picks_the_vertex_and_height_of_the_per_vertex_scan():
+    rng = np.random.default_rng(8)
+    specs = [cubic_star_spec(lam=0.4), cubic_star_spec(lam=0.6)]
+    for k in (3, 5, 8):
+        g = make_cycle_pendant_graph(rng, k)
+        base = ProblemSpec(g, ExponentField.constant(g, 2.0),
+                           Potential(g, rng.uniform(0.5, 2.0, k)),
+                           PowerPlus(g, 1.0, rng.uniform(3.0, 5.0, k), 0.1), 1.0)
+        lam2 = lambda_thresholds(instance_constants(base)).lambda2
+        specs.append(ProblemSpec(g, base.p, base.q, base.f, 0.5 * lam2))
+    for spec in specs:
+        assert np.array_equal(spike_point(spec).interior(), _spike_by_scan(spec))
+
+
+# -- uniqueness certificate -------------------------------------------------------
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(unique_solution_specs())
+def test_certified_restarts_dedupe_to_the_reported_point(spec):
+    opts = SolverOptions(restarts=3)
+    rep = solve(spec, opts)
+    assert rep.uniqueness.certified
+    assert not (rep.regime.has(RegimeTag.EKELAND) or rep.regime.has(RegimeTag.TWO_SOLUTIONS))
+    # the restarts solve would have run, drawn from the same stream
+    rng = np.random.default_rng(opts.rng_seed)
+    n = spec.graph.n_interior
+    restarts = [descend(spec, DirichletFunction.from_interior(spec.graph,
+                                                             rng.uniform(-0.5, 1.5, n)), None, opts)
+                for _ in range(opts.restarts)]
+    converged = [pt for pt in restarts if pt.converged]
+    if rep.solutions:
+        assert len(rep.solutions) == 1
+        assert converged
+        assert len(plap.solver._dedupe(rep.solutions + converged)) == 1
+    else:
+        # no descent from zero converged, so solve ran these same restarts
+        assert not converged
+
+
+def test_certified_solve_runs_one_descent(monkeypatch):
+    calls = _counting_descend(monkeypatch)
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        spec = random_coercive_spec(rng)
+        calls.clear()
+        rep = solve(spec, FAST)
+        assert rep.uniqueness.certified
+        assert calls == [None]
+        alone = descend(spec, DirichletFunction.zeros(spec.graph), None, FAST, seed=0)
+        assert np.array_equal(rep.solutions[0].u.values, alone.u.values)
+
+
+def _above_lambda2(g, p, q, f):
+    # Past lambda2 no small-ball statement applies: solve runs free descents.
+    if f.envelope is None:
+        return 0.5
+    return lambda_thresholds(instance_constants(ProblemSpec(g, p, q, f, 1.0))).lambda2 + 0.1
+
+
+def _uncertified_case(name):
+    from plap import ArctanPower, CustomNonlinearity
+
+    g = make_triangle_pendant_graph()
+    p = ExponentField.constant(g, 3.0)
+    q = Potential.constant(g, 1.0)
+    f = PowerPlus(g, 1.0, 2.5, 0.5)
+    if name == "per-vertex p":
+        p = ExponentField(g, [3.0, 3.5, 4.0, 3.0, 3.0, 3.0])
+        reason = "p is not constant on S-bar"
+    elif name == "m > p at one vertex":
+        f = PowerPlus(g, 1.0, [2.5, 2.5, 4.0], 0.5)
+        reason = "m(x3) = 4 > p = 3"
+    elif name == "arctan_power":
+        f = ArctanPower(g, m=2.0, phi=0.5, psi=0.5)
+        reason = "nonlinearity kind arctan_power has no closed-form monotonicity test"
+    else:
+        f = CustomNonlinearity(g, lambda x, t: 1.0 + 0.5 * t)
+        reason = "nonlinearity kind custom has no closed-form monotonicity test"
+    return ProblemSpec(g, p, q, f, _above_lambda2(g, p, q, f)), reason
+
+
+@pytest.mark.parametrize("name", ["per-vertex p", "m > p at one vertex", "arctan_power", "custom"])
+def test_uncertified_solve_runs_every_restart(monkeypatch, name):
+    spec, reason = _uncertified_case(name)
+    calls = _counting_descend(monkeypatch)
+    rep = solve(spec, SolverOptions(restarts=2))
+    assert (rep.uniqueness.certified, rep.uniqueness.reason) == (False, reason)
+    assert calls == [None] * 3
+
+
+def test_certified_solve_falls_back_to_restarts_when_the_first_descent_stops(monkeypatch):
+    spec = random_coercive_spec(np.random.default_rng(12))
+    calls = _counting_descend(monkeypatch)
+    rep = solve(spec, SolverOptions(restarts=2, max_iter=1))
+    assert rep.uniqueness.certified
+    assert calls == [None] * 3
+    assert not rep.solutions

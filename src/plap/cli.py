@@ -7,6 +7,7 @@ Reports are UTF-8 JSON on stdout (CSV for sweep).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -180,8 +181,8 @@ def _cmd_sweep(args) -> int:
     doc = load_problem(args.file)
     if args.steps < 1:
         raise _UsageError("--steps must be at least 1")
-    if args.lambda_min <= 0 or args.lambda_max < args.lambda_min:
-        raise _UsageError("need 0 < --lambda-min <= --lambda-max")
+    if not 0 < args.lambda_min <= args.lambda_max < math.inf:
+        raise _UsageError("need 0 < --lambda-min <= --lambda-max < inf")
     if args.steps == 1:
         grid = [args.lambda_min]
     else:

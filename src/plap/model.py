@@ -8,6 +8,7 @@ lambda > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -409,8 +410,8 @@ class ProblemSpec:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise InvariantError(f"lambda must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise InvariantError(f"lambda must be finite and > 0, got {self.lam}")
         for part, name in ((self.p, "p"), (self.q, "q"), (self.f, "f")):
             if part.graph is not self.graph:
                 raise InvariantError(f"{name} is bound to a different graph")

@@ -10,12 +10,14 @@ A problem file has the sections
 
 with optional data-only ``reference_thresholds`` (benchmark values echoed
 back by the bounds command, never used in computations).  Unknown keys are
-rejected at every level.
+rejected at every level, and so are the non-finite numbers (NaN, Infinity)
+that ``json`` accepts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -63,6 +65,8 @@ def _require_keys(obj: Mapping[str, Any], allowed: set[str], required: set[str],
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -94,6 +94,28 @@ def test_small_exponent_rejected(tmp_path):
         parse_problem(f)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_rejected(tmp_path, token):
+    # Python's json accepts these tokens; a problem file must not.
+    doc = base_document()
+    doc["q"] = "Q"
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc).replace('"Q"', token))
+    with pytest.raises(SchemaError, match="q: expected a finite number"):
+        parse_problem(f)
+
+
+def test_nan_lambda_file_exits_2(capsys, tmp_path):
+    doc = base_document()
+    doc["lambda"] = float("nan")
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))  # json writes the NaN token
+    code, out, err = run_cli(["solve", str(f)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "lambda: expected a finite number" in err
+
+
 def test_malformed_json_positions(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text('{"graph": [,]}')
@@ -219,6 +241,24 @@ def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(["sweep", cubic_file(), "--lambda-min", "0.1",
                           "--lambda-max", "0.05", "--steps", "3"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("lo, hi", [("nan", "1.0"), ("0.1", "nan"), ("0.1", "inf"),
+                                    ("inf", "inf")])
+def test_sweep_rejects_non_finite_lambda_bounds(capsys, lo, hi):
+    code, out, err = run_cli(["sweep", cubic_file(), "--lambda-min", lo,
+                              "--lambda-max", hi, "--steps", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--lambda-min" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_solve_rejects_non_finite_tolerance(capsys, tol):
+    code, out, err = run_cli(["solve", cubic_file(), "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert "tolerances must be finite" in err
 
 
 def test_unknown_command_usage(capsys):

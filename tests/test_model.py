@@ -189,6 +189,15 @@ def test_problem_spec_requires_positive_lambda():
                     f=PowerPlus(g, 1.0, 2.0, 1.0), lam=0.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_problem_spec_requires_finite_lambda(lam):
+    g = make_path_graph()
+    with pytest.raises(InvariantError, match="finite"):
+        ProblemSpec(graph=g, p=ExponentField.constant(g, 2.0),
+                    q=Potential.constant(g, 1.0),
+                    f=PowerPlus(g, 1.0, 2.0, 1.0), lam=lam)
+
+
 def test_constant_source_has_no_envelope():
     g = make_path_graph()
     f = PowerPlus(g, 0.0, 2.0, 1.0)

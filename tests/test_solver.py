@@ -13,6 +13,7 @@ from plap import (
     ProblemSpec,
     RegimeTag,
     SolverOptions,
+    build_graph,
     descend,
     energy_value,
     hill_point,
@@ -414,10 +415,87 @@ def test_descend_constructions_do_not_grow_with_iterations(monkeypatch):
     assert per_run[0] == per_run[1] <= 2, per_run
 
 
+def _resonant_path(rng, fraction):
+    """A weighted path b0 - x0 ... x5 - b1 with p = 2 and f = t + 1 at lambda =
+    fraction * mu1, where mu1 is the least eigenvalue of the Dirichlet Laplacian
+    plus diag(q); near mu1 the energy is nearly flat around its minimizer."""
+    labels = ["b0"] + [f"x{i}" for i in range(6)] + ["b1"]
+    w = rng.uniform(0.5, 1.5, 7)
+    q = rng.uniform(0.5, 2.0, 6)
+    g = build_graph(labels[1:-1], ["b0", "b1"],
+                    [(a, b, float(wk)) for a, b, wk in zip(labels, labels[1:], w)])
+    op = np.diag(w[:-1] + w[1:] + q) - np.diag(w[1:-1], 1) - np.diag(w[1:-1], -1)
+    mu1 = float(np.linalg.eigvalsh(op)[0])
+    return ProblemSpec(g, ExponentField.constant(g, 2.0), Potential(g, q),
+                       PowerPlus(g, phi=1.0, m=2.0, psi=1.0), fraction * mu1)
+
+
+@pytest.mark.parametrize("fraction", [0.9, 0.95])
+def test_descend_converges_near_resonance(fraction):
+    # J changes by less than its rounding error long before the gradient
+    # reaches grad_tol; the slope test must carry the descent the rest of the way.
+    rng = np.random.default_rng(2024)
+    stopped = []
+    for draw in range(10):
+        spec = _resonant_path(rng, fraction)
+        n = spec.graph.n_interior
+        starts = [np.zeros(n)] + [rng.uniform(-0.5, 1.5, n) for _ in range(16)]
+        for k, v0 in enumerate(starts):
+            pt = descend(spec, DirichletFunction.from_interior(spec.graph, v0))
+            if not pt.converged:
+                stopped.append((draw, k, pt.iterations, pt.residual_inf))
+    assert not stopped, (len(stopped), stopped[:5])
+
+
+def _direct_grid(side=8):
+    """A side x side 4-neighbour grid inside a boundary ring with p = 3,
+    f = t^1.5 + 1 and lambda = 1 (direct regime)."""
+    rng = np.random.default_rng(5)
+
+    def lab(i, j):
+        return f"g{i}_{j}"
+
+    idx = range(1, side + 1)
+    interior = [lab(i, j) for i in idx for j in idx]
+    boundary = ([lab(0, j) for j in idx] + [lab(side + 1, j) for j in idx]
+                + [lab(i, 0) for i in idx] + [lab(i, side + 1) for i in idx])
+    pairs = [(lab(i, j), lab(i + 1, j)) for i in range(side + 1) for j in idx]
+    pairs += [(lab(i, j), lab(i, j + 1)) for i in idx for j in range(side + 1)]
+    weights = rng.uniform(0.5, 1.5, len(pairs))
+    g = build_graph(interior, boundary,
+                    [(a, b, float(w)) for (a, b), w in zip(pairs, weights)])
+    return ProblemSpec(g, ExponentField.constant(g, 3.0),
+                       Potential(g, rng.uniform(0.5, 2.0, side * side)),
+                       PowerPlus(g, phi=1.0, m=2.5, psi=1.0), 1.0)
+
+
+def test_descend_evaluates_energy_about_once_per_iteration(monkeypatch):
+    # Backtracking on rounding noise in J used to cost about 5 evaluations
+    # per iteration on direct grids.
+    spec = _direct_grid()
+    calls = []
+    energy = plap.solver._J
+
+    def counting(spec, v):
+        calls.append(1)
+        return energy(spec, v)
+
+    monkeypatch.setattr(plap.solver, "_J", counting)
+    pt = descend(spec, DirichletFunction.zeros(spec.graph))
+    assert pt.converged
+    assert len(calls) <= 1.5 * pt.iterations, (len(calls), pt.iterations)
+
+
 def test_negative_restarts_rejected():
     with pytest.raises(DomainError, match="restarts"):
         SolverOptions(restarts=-3)
     assert SolverOptions(restarts=0).restarts == 0
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_non_finite_tolerance_rejected(tol):
+    with pytest.raises(DomainError, match="tolerances must be finite and positive"):
+        SolverOptions(grad_tol=tol)
 
 
 # -- spike point ----------------------------------------------------------------

@@ -78,7 +78,6 @@ from .solver import (
     SolveReport,
     SolverOptions,
     descend,
-    hill_point,
     kkt_multipliers,
     mountain_pass,
     solve,

@@ -216,10 +216,6 @@ class Regime:
     def sorted_names(self) -> list[str]:
         return sorted(t.value for t in self.tags)
 
-    @property
-    def promises_solution(self) -> bool:
-        return bool(self.tags)
-
 
 def classify_regime(
     c: InstanceConstants, lam: float, gamma: float | None = None

@@ -18,6 +18,7 @@ from .calculus import VertexFunction
 from .energy import residual_original
 from .errors import (
     DegenerateExponent,
+    DomainError,
     GammaTooSmall,
     InvariantError,
     NegativeArgument,
@@ -101,6 +102,11 @@ def _options(args) -> SolverOptions:
     return opts
 
 
+def _finite(name: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise DomainError(f"{name} must be a finite number, got {value}")
+
+
 def _cmd_validate(args) -> int:
     doc = load_problem(args.file)
     g = doc.spec.graph
@@ -128,6 +134,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _finite("--gamma", args.gamma)
     doc = load_problem(args.file)
     spec = doc.spec
     c = instance_constants(spec)
@@ -154,6 +161,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _finite("--gamma", args.gamma)
     doc = load_problem(args.file)
     opts = _options(args)
     rep = solve(doc.spec, opts, gamma=args.gamma)
@@ -198,6 +206,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    _finite("--tol", args.tol)
     doc = load_problem(args.file)
     spec = doc.spec
     values = parse_solution(args.solution, spec.graph)

@@ -91,10 +91,6 @@ class ScanExhausted(SolverError):
     pass
 
 
-class DegeneratePath(SolverError):
-    pass
-
-
 # -- problem files / CLI -----------------------------------------------------
 
 class ParseError(PlapError):

@@ -1,14 +1,13 @@
-"""Critical-point search: constrained descent, trial points, mountain pass.
+"""Critical-point search: constrained descent, trial points, minimax saddles.
 
-All searches are first order.  ``descend`` is projected-gradient descent that
-backtracks from a safeguarded Barzilai-Borwein trial step (so small stiff
-problems converge in tens of iterations).  A step is accepted by the Armijo
-test on J or, once J changes by less than its rounding floor, by the slope
-test of Hager and Zhang's approximate Wolfe condition (SIAM J. Optim. 16,
-2005).
-``mountain_pass`` deforms a piecewise-linear path between two low points: the
-highest node climbs along the local path tangent and Armijo-descends in the
-transverse directions, terminating when its gradient vanishes.
+``descend`` is projected-gradient descent that backtracks from a safeguarded
+Barzilai-Borwein trial step (so small stiff problems converge in tens of
+iterations).  A step is accepted by the Armijo test on J or, once J changes
+by less than its rounding floor, by the slope test of Hager and Zhang's
+approximate Wolfe condition (SIAM J. Optim. 16, 2005).
+``mountain_pass`` is the local minimax method of Li and Zhou (SIAM J. Sci.
+Comput. 23, 2001): it lowers the peak of J along rays from a low point, then
+finishes with Newton steps solved by MINRES on gradient differences.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .calculus import DirichletFunction
 from .energy import energy_value, gradient_values, residual_original
 from .errors import (
     ConstructionFailed,
-    DegeneratePath,
     DomainError,
     InfeasiblePoint,
     InfeasibleStart,
@@ -44,7 +42,12 @@ _ARMIJO_C = 1e-4
 _WOLFE_DELTA = 0.1
 _BACKTRACK = 0.5
 _INIT_STEP = 1.0
-_PATH_POINTS = 21
+_SCAN_STEPS = 60
+_LMM_STEPS = 200
+_LMM_BACKTRACKS = 10
+_NEWTON_STEPS = 8
+_MINRES_ITER = 500
+_FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 _BB_LO, _BB_HI = 1e-10, 1e10
 _NORM_BLOWUP = 1e10
 
@@ -308,248 +311,153 @@ def spike_point(spec: ProblemSpec, opts: SolverOptions | None = None) -> Dirichl
     )
 
 
-def hill_point(spec: ProblemSpec, barrier: float, min_norm: float | None = None
-               ) -> DirichletFunction:
-    """Constant-on-interior trial point with J below the barrier.
+def _minres(hess, b: np.ndarray, max_iter: int) -> np.ndarray:
+    """MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975) for hess(x)
+    = b, hess symmetric and possibly indefinite, to relative residual 1e-10."""
+    x = w = w2 = np.zeros_like(b)
+    beta1 = float(np.linalg.norm(b))
+    r1 = r2 = y = b
+    oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
+    for k in range(max_iter):
+        v = y / beta
+        y = hess(v)
+        if k > 0:
+            y = y - (beta / oldb) * r1
+        alpha = float(np.dot(v, y))
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        oldb, beta = beta, float(np.linalg.norm(y))
+        # apply the previous Givens rotation, then eliminate the new beta
+        delta, gbar = cs * dbar + sn * alpha, sn * dbar - cs * alpha
+        oldeps, epsln, dbar = epsln, sn * beta, -cs * beta
+        gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w2, w = w, (v - oldeps * w2 - delta * w) / gamma
+        x = x + phi * w
+        if phibar <= 1e-10 * beta1 or beta == 0.0 or not math.isfinite(phibar):
+            break
+    return x
 
-    Scans xi = 1, 2, 4, ... (at most 60 doublings) for J(u_xi) < barrier and
-    ||u_xi|| above min_norm (defaults to the small-ball radius).
-    """
-    if min_norm is None:
-        min_norm = spec.graph.n_vertices ** -0.5
-    n = spec.graph.n_interior
-    xi = 1.0
-    for _ in range(61):
-        v = np.full(n, xi)
-        if _J(spec, v) < barrier and float(np.linalg.norm(v)) > min_norm:
-            return DirichletFunction.from_interior(spec.graph, v)
-        xi *= 2.0
-    raise ScanExhausted(
-        f"no constant trial point fell below the barrier {barrier:.6g} within 60 doublings"
-    )
+
+def _newton(spec: ProblemSpec, v: np.ndarray, g: np.ndarray, grad_tol: float
+            ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Newton steps from v, each solved by MINRES on the central difference of
+    the gradient; a step is kept only when it halves the gradient sup-norm."""
+    steps = 0
+    g_inf = float(np.max(np.abs(g)))
+    while steps < _NEWTON_STEPS and g_inf > grad_tol:
+        scale = _FD_STEP * (1.0 + float(np.max(np.abs(v))))
+
+        def hess(x: np.ndarray) -> np.ndarray:
+            h = scale / float(np.max(np.abs(x)))
+            return (_interior_grad(spec, v + h * x) - _interior_grad(spec, v - h * x)) / (2 * h)
+
+        cand = v + _minres(hess, -g, min(2 * v.size, _MINRES_ITER))
+        gc = _interior_grad(spec, cand)
+        gc_inf = float(np.max(np.abs(gc)))
+        if not gc_inf <= 0.5 * g_inf:
+            break
+        v, g, g_inf = cand, gc, gc_inf
+        steps += 1
+    return v, g, steps
 
 
-def _respace(nodes: list[np.ndarray]) -> list[np.ndarray]:
-    # Re-interpolate the polyline at uniform arclength, endpoints fixed.
-    K = len(nodes)
-    seg = [float(np.linalg.norm(nodes[k + 1] - nodes[k])) for k in range(K - 1)]
-    total = sum(seg)
-    if total <= 0.0:
-        return nodes
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, K)
-    out = [nodes[0]]
-    j = 0
-    for t in targets[1:-1]:
-        while j < K - 2 and cum[j + 1] < t:
-            j += 1
-        span = cum[j + 1] - cum[j]
-        frac = 0.0 if span == 0.0 else (t - cum[j]) / span
-        out.append(nodes[j] + frac * (nodes[j + 1] - nodes[j]))
-    out.append(nodes[-1])
-    return out
+def _peak(spec: ProblemSpec, base: np.ndarray, v: np.ndarray, s: float
+          ) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """The peak of J along the ray base + s v: the + to - sign change of the
+    slope <grad J(base + s v), v>, bracketed from s by doubling or halving and
+    solved by Illinois regula falsi.  None when no sign change is found."""
+    def slope(t: float) -> tuple[float, np.ndarray, np.ndarray]:
+        w = base + t * v
+        g = _interior_grad(spec, w)
+        return float(np.dot(g, v)), w, g
+
+    dt = slope(s)[0]
+    factor, t = (2.0 if dt > 0.0 else 0.5), s
+    for _ in range(_SCAN_STEPS):
+        d2 = slope(t * factor)[0]
+        if (d2 > 0.0) != (dt > 0.0):
+            break
+        t, dt = t * factor, d2
+    else:
+        return None
+    (lo, dlo), (hi, dhi) = sorted([(t, dt), (t * factor, d2)])
+    side = 0
+    for _ in range(_SCAN_STEPS):
+        t = (lo * dhi - hi * dlo) / (dhi - dlo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        d, w, g = slope(t)
+        if d > 0.0:  # Illinois: halve the end value kept twice in a row
+            lo, dlo, dhi, side = t, d, dhi * (0.5 if side > 0 else 1.0), 1
+        else:
+            hi, dhi, dlo, side = t, d, dlo * (0.5 if side < 0 else 1.0), -1
+        if hi - lo <= 1e-12 * hi or abs(d) <= 1e-3 * float(np.linalg.norm(g - d * v)):
+            break
+    return t, w, g
 
 
 def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunction,
-                  path_points: int = _PATH_POINTS, opts: SolverOptions | None = None,
-                  barrier: float | None = None) -> CriticalPoint:
-    """Deform a piecewise-linear path from u0 to u1 onto the pass point.
+                  opts: SolverOptions | None = None, barrier: float | None = None
+                  ) -> CriticalPoint:
+    """A saddle point of J by the local minimax method of Li and Zhou (SIAM J.
+    Sci. Comput. 23, 2001) with base point u0, finished by Newton.  The method
+    aims at Morse index 1; the index is not checked.
 
-    Each sweep moves the highest node in two half-steps: a line ascent along
-    the local path tangent, then a monotone Armijo descent transverse to it.
-    The other interior nodes relax downhill every few sweeps, and the path is
-    re-spaced by arclength every 50 sweeps.  Terminates when the highest
-    node's gradient sup-norm drops below grad_tol; that node is returned as a
-    Saddle at the pass level (flagged unconverged at the iteration budget).
+    The peak of J along the ray u0 + s v starts from the direction v of
+    u1 - u0.  Each step sets v <- normalize(v - alpha g_perp / s), where
+    g_perp is the part of grad J at the peak orthogonal to v, and backtracks
+    alpha until the peak value falls by the Armijo amount.  Once the gradient
+    is 1e-4 of its value at u1, or no step is accepted, ``_newton`` finishes.
+    The point is converged when its gradient sup-norm is at most grad_tol
+    and its J reaches ``barrier`` (the sphere bound, which no minimizer in the
+    small ball can reach).  Raises ScanExhausted when the start ray has no peak.
     """
     opts = opts or SolverOptions()
-    K = path_points
-    if K < 3:
-        raise DomainError("need at least 3 path points")
-    a = u0.interior().copy()
-    b = u1.interior().copy()
-    if barrier is not None and max(_J(spec, a), _J(spec, b)) >= barrier:
-        raise DegeneratePath("endpoint energy reaches the separating barrier")
-    nodes = [a + (k / (K - 1)) * (b - a) for k in range(K)]
-    jvals = [_J(spec, v) for v in nodes]
-    # The pass level never exceeds the maximum over any one admissible path;
-    # a climb far beyond the initial path maximum means the node is running
-    # up an unbounded bowl instead of locating the crest.
-    ceiling = max(jvals) + 10.0 * (1.0 + abs(max(jvals)))
-    climb_up = _INIT_STEP
-    climb_dn = _INIT_STEP
-    refine_step = _INIT_STEP
-    relax_steps = [_INIT_STEP] * K
-    # Energy comparisons bottom out once J differences reach the rounding
-    # floor (gradient around sqrt(eps)); below this the climb switches to a
-    # gradient-contraction iteration whose acceptance scales with |g| itself.
-    switch_tol = max(1e-5, opts.grad_tol)
-    stalls = 0
-    prefer_close = False
-    best_g = math.inf
-    since_improved = 0
+    base = u0.interior().copy()
+    v = u1.interior() - base
+    s = float(np.linalg.norm(v))
+    if s == 0.0:
+        raise DomainError("the start direction u1 - u0 is zero")
+    v = v / s
+    g_first = float(np.max(np.abs(_interior_grad(spec, u1.interior()))))
+    peak = _peak(spec, base, v, s)
+    if peak is None:
+        raise ScanExhausted(f"no peak of J along the start ray within {_SCAN_STEPS} doublings")
+    s, w, g = peak
+    J = _J(spec, w)
+    alpha = _INIT_STEP
+    prev: tuple[np.ndarray, np.ndarray] | None = None
     it = 0
-    respaced_on_degenerate = False
-    while it < opts.max_iter:
-        it += 1
-        k_star = int(np.argmax(jvals))
-        if k_star in (0, K - 1):
-            # nodes may have drifted off the crest; re-seed them along the
-            # polyline once before declaring the geometry degenerate
-            if respaced_on_degenerate:
-                raise DegeneratePath("path maximum sits at an endpoint")
-            respaced_on_degenerate = True
-            nodes = _respace(nodes)
-            jvals = [_J(spec, v) for v in nodes]
-            k_star = int(np.argmax(jvals))
-            if k_star in (0, K - 1):
-                raise DegeneratePath("path maximum sits at an endpoint")
-        v = nodes[k_star]
-        g = _interior_grad(spec, v)
-        g_inf = float(np.max(np.abs(g)))
-        if g_inf <= opts.grad_tol:
-            return _as_point(spec, v, jvals[k_star], g_inf, "Saddle", True, it, g_inf)
-        if jvals[k_star] > ceiling:
-            break  # runaway climb: no certified pass at this scale
-        if g_inf < 0.9 * best_g:
-            best_g = g_inf
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= 600:
-                break  # pass-node residual plateaued far above the tolerance
-        tau = nodes[k_star + 1] - nodes[k_star - 1]
-        ntau = float(np.linalg.norm(tau))
-        tau = tau / ntau if ntau > 0.0 else tau
-        # The pass node must deform the path, not tunnel through the
-        # landscape (J grows without bound far out, so an uncapped line
-        # ascent would jump there); every move stays within half the gap to
-        # the neighboring nodes.
-        gap = 0.5 * min(
-            float(np.linalg.norm(v - nodes[k_star - 1])),
-            float(np.linalg.norm(nodes[k_star + 1] - v)),
-        )
-        moved = False
-        if g_inf > switch_tol and gap > 0.0 and not prefer_close:
-            # Far phase: ascend J along the tangent line, then Armijo-descend
-            # transverse to it.
-            slope = float(np.dot(g, tau)) if ntau > 0.0 else 0.0
-            if abs(slope) > opts.grad_tol:
-                direction = tau if slope > 0.0 else -tau
-                stp = min(climb_up, gap)
-                for _ in range(40):
-                    cand = v + stp * direction
-                    Jc = _J(spec, cand)
-                    if Jc > jvals[k_star]:
-                        v = cand
-                        jvals[k_star] = Jc
-                        nodes[k_star] = v
-                        climb_up = min(stp * 1.5, _BB_HI)
-                        moved = True
-                        break
-                    stp *= 0.5
-                else:
-                    climb_up = gap  # reset to the geometric scale
-                g = _interior_grad(spec, v)
-                g_inf = float(np.max(np.abs(g)))
-            g_perp = g - float(np.dot(g, tau)) * tau if ntau > 0.0 else g
-            gp2 = float(np.dot(g_perp, g_perp))
-            if gp2 > (1e-9 * g_inf) ** 2:
-                stp = min(climb_dn, gap / math.sqrt(gp2))
-                for _ in range(40):
-                    cand = v - stp * g_perp
-                    Jc = _J(spec, cand)
-                    if math.isfinite(Jc) and Jc <= jvals[k_star] - _ARMIJO_C * stp * gp2:
-                        nodes[k_star] = cand
-                        jvals[k_star] = Jc
-                        climb_dn = min(stp * 1.5, _BB_HI)
-                        moved = True
-                        break
-                    stp *= _BACKTRACK
-                else:
-                    climb_dn = _INIT_STEP
-        close_moved = False
-        if not moved:
-            # Close phase: the J comparisons of the far phase bottom out at the
-            # rounding floor near stationarity.  Reverse the gradient component
-            # along the tangent and accept steps that shrink the gradient norm
-            # while leaving J essentially unchanged (so the node refines the
-            # nearby pass point instead of sliding into a minimum).
-            force = g - 2.0 * float(np.dot(g, tau)) * tau if ntau > 0.0 else -g
-            g2 = float(np.linalg.norm(g))
-            jnode = jvals[k_star]
-            jslack = 1e-8 * (1.0 + abs(jnode))
-            stp = refine_step
-            if gap > 0.0 and g2 > 0.0:
-                stp = min(stp, gap / g2)
-            for _ in range(40):
-                cand = v - stp * force
-                Jc = _J(spec, cand)
-                if (math.isfinite(Jc) and abs(Jc - jnode) <= jslack
-                        and float(np.linalg.norm(_interior_grad(spec, cand)))
-                        < g2 * (1.0 - 1e-3)):
-                    nodes[k_star] = cand
-                    jvals[k_star] = Jc
-                    refine_step = min(stp * 1.3, _BB_HI)
-                    moved = True
-                    close_moved = True
+    while it < _LMM_STEPS and float(np.max(np.abs(g))) > 1e-4 * g_first:
+        g_perp = g - float(np.dot(g, v)) * v
+        gp2 = float(np.dot(g_perp, g_perp))
+        if prev is not None:
+            dw, dg = w - prev[0], g_perp - prev[1]
+            sy = float(np.dot(dw, dg))
+            if sy > 0.0:
+                alpha = min(max(float(np.dot(dw, dw)) / sy, _BB_LO), _BB_HI)
+        for _ in range(_LMM_BACKTRACKS):
+            trial = v - (alpha / s) * g_perp
+            trial /= float(np.linalg.norm(trial))
+            peak = _peak(spec, base, trial, s)
+            if peak is not None:
+                Jc = _J(spec, peak[1])
+                if Jc < J - _ARMIJO_C * alpha * gp2:
                     break
-                stp *= 0.5
-            else:
-                refine_step = _INIT_STEP
-        if moved:
-            stalls = 0
-            if close_moved and not prefer_close:
-                # the far phase bottomed out at its J rounding floor while the
-                # contraction still works; lead with the contraction from now on
-                prefer_close = True
-            elif not close_moved:
-                prefer_close = False
+            alpha *= _BACKTRACK
         else:
-            stalls += 1
-            prefer_close = False  # retry both phases before giving up
-        if stalls >= 8:
-            break  # neither phase can improve the pass node
-        # Occasionally relax the supporting nodes downhill.  Displacements are
-        # capped by the local node spacing so the path cannot tear apart when
-        # J is unbounded below away from the pass.
-        if it % 5 == 0:
-            floor = max(jvals[0], jvals[-1])
-            for k in range(1, K - 1):
-                if k == k_star:
-                    continue
-                if jvals[k] <= floor:
-                    continue  # already below the endpoint level
-                gk = _interior_grad(spec, nodes[k])
-                gnorm = float(np.linalg.norm(gk))
-                if gnorm == 0.0:
-                    continue
-                gap = 0.5 * min(
-                    float(np.linalg.norm(nodes[k] - nodes[k - 1])),
-                    float(np.linalg.norm(nodes[k + 1] - nodes[k])),
-                )
-                if gap <= 0.0:
-                    continue
-                stp = min(relax_steps[k], gap / gnorm)
-                gk2 = gnorm * gnorm
-                for _ in range(30):
-                    cand = nodes[k] - stp * gk
-                    Jc = _J(spec, cand)
-                    if math.isfinite(Jc) and Jc <= jvals[k] - _ARMIJO_C * stp * gk2:
-                        nodes[k] = cand
-                        jvals[k] = Jc
-                        relax_steps[k] = min(stp * 2.0, _BB_HI)
-                        break
-                    stp *= _BACKTRACK
-                else:
-                    relax_steps[k] = max(stp, _STEP_MIN)
-        if it % 50 == 0:
-            nodes = _respace(nodes)
-            jvals = [_J(spec, v) for v in nodes]
-    k_star = int(np.argmax(jvals))
-    g = _interior_grad(spec, nodes[k_star])
+            break
+        prev = w, g_perp
+        v = trial
+        (s, w, g), J = peak, Jc
+        it += 1
+    w, g, steps = _newton(spec, w, g, opts.grad_tol)
+    J = _J(spec, w) if steps else J
     g_inf = float(np.max(np.abs(g)))
-    return _as_point(spec, nodes[k_star], jvals[k_star], g_inf, "Saddle", False, it, g_inf)
+    converged = g_inf <= opts.grad_tol and (barrier is None or J >= barrier)
+    return _as_point(spec, w, J, g_inf, "Saddle", converged, it + steps, g_inf)
 
 
 def kkt_multipliers(spec: ProblemSpec, u: DirichletFunction, zeta: float, gamma: float
@@ -715,16 +623,17 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             )
         if two_solution:
             try:
-                u_hill = hill_point(spec, sphere_bound)
                 u_low = best.u if best is not None else DirichletFunction.zeros(spec.graph)
-                saddle = mountain_pass(spec, u_low, u_hill, opts=opts, barrier=sphere_bound)
+                u_up = DirichletFunction.from_interior(spec.graph, u_low.interior() + 1.0)
+                saddle = mountain_pass(spec, u_low, u_up, opts=opts, barrier=sphere_bound)
                 candidates.append(saddle)
                 if not saddle.converged:
                     notes.append(
-                        f"mountain-pass search did not converge "
-                        f"(gradient sup-norm {saddle.grad_inf:.3g})"
+                        f"mountain-pass search did not converge (gradient sup-norm "
+                        f"{saddle.grad_inf:.3g}, J = {saddle.value:.6g} against the sphere "
+                        f"bound {sphere_bound:.6g})"
                     )
-            except (ScanExhausted, DegeneratePath) as exc:
+            except ScanExhausted as exc:
                 notes.append(f"mountain-pass construction failed: {exc}")
         if regime.has(RegimeTag.TWO_SOLUTIONS_KKT) and gamma is not None:
             zeta = min(max((1.0 + gamma) / 2.0, 1.0 + 1e-9), gamma - 1e-12)

@@ -301,3 +301,38 @@ def path_graph():
 @pytest.fixture
 def triangle_graph():
     return make_triangle_pendant_graph()
+
+
+def two_solution_grid(side, seed, member):
+    """The ``member``-th side x side two-solution grid of ``seed``: the
+    4-neighbour grid generator of the benchmark's ``grid_two_solution``
+    workload (outer ring without corners as the boundary, weights in
+    [0.5, 1.5] and q in [0.5, 2] from the stream keyed by (seed, side,
+    member)), with p = 2, f = t^3 + 0.1 and lambda = lambda2 / 2."""
+    rng = np.random.default_rng([seed, side, member])
+
+    def lab(i, j):
+        return f"g{i}_{j}"
+
+    idx = range(1, side + 1)
+    interior = [lab(i, j) for i in idx for j in idx]
+    boundary = ([lab(0, j) for j in idx] + [lab(side + 1, j) for j in idx]
+                + [lab(i, 0) for i in idx] + [lab(i, side + 1) for i in idx])
+    pairs = []
+    for i in idx:
+        for j in idx:
+            if i == 1:
+                pairs.append((lab(0, j), lab(1, j)))
+            if j == 1:
+                pairs.append((lab(i, 0), lab(i, 1)))
+            pairs.append((lab(i, j), lab(i + 1, j)))
+            pairs.append((lab(i, j), lab(i, j + 1)))
+    weights = rng.uniform(0.5, 1.5, len(pairs))
+    qs = rng.uniform(0.5, 2.0, len(interior))
+    g = build_graph(interior, boundary,
+                    [(a, b, float(w)) for (a, b), w in zip(pairs, weights)])
+    p = ExponentField.constant(g, 2.0)
+    q = Potential(g, qs)
+    f = PowerPlus(g, phi=1.0, m=4.0, psi=0.1)
+    lambda2 = lambda_thresholds(instance_constants(ProblemSpec(g, p, q, f, 1.0))).lambda2
+    return ProblemSpec(g, p, q, f, 0.5 * lambda2)

@@ -261,6 +261,35 @@ def test_solve_rejects_non_finite_tolerance(capsys, tol):
     assert "tolerances must be finite" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_certify_rejects_non_finite_tolerance(capsys, tmp_path, tol):
+    # u(v1) = 5 is far from a solution (residual about 35); an infinite
+    # tolerance used to pass it.
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"u": {"v1": 5.0}}))
+    code, out, err = run_cli(["certify", cubic_file(), "--solution", str(sol), "--tol", tol],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "--tol must be a finite number" in err
+
+
+@pytest.mark.parametrize("gamma", ["inf", "nan"])
+def test_solve_rejects_non_finite_gamma(capsys, gamma):
+    code, out, err = run_cli(["solve", cubic_file(), "--gamma", gamma], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--gamma must be a finite number" in err
+
+
+@pytest.mark.parametrize("gamma", ["inf", "nan"])
+def test_bounds_rejects_non_finite_gamma(capsys, gamma):
+    code, out, err = run_cli(["bounds", triangle_file(), "--gamma", gamma], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--gamma must be a finite number" in err
+
+
 def test_unknown_command_usage(capsys):
     code, _, _ = run_cli(["frobnicate"], capsys)
     assert code == 1

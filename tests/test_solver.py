@@ -16,7 +16,6 @@ from plap import (
     build_graph,
     descend,
     energy_value,
-    hill_point,
     instance_constants,
     kkt_multipliers,
     lambda_thresholds,
@@ -38,6 +37,7 @@ from conftest import (
     random_coercive_spec,
     random_dirichlet,
     scalar_equation,
+    two_solution_grid,
     unique_solution_specs,
 )
 
@@ -107,23 +107,15 @@ def test_spike_point_beyond_lambda2_still_tries():
     assert energy_value(spec, u) < 0.0
 
 
-def test_hill_point_cubic():
-    spec = cubic_star_spec(lam=0.4)
-    barrier = lambda_thresholds(instance_constants(spec)).sphere_lower_bound(spec.lam)
-    u = hill_point(spec, barrier)
-    xi = u.value("v1")
-    assert xi <= 2 ** 6
-    assert energy_value(spec, u) < barrier
-    assert np.linalg.norm(u.interior()) > 3.0 ** -0.5
-
-
-def test_hill_point_exhausts_on_coercive_landscape():
+def test_mountain_pass_exhausts_on_coercive_landscape():
+    # J grows without bound along every ray: there is no peak to start from.
     g = make_path_graph()
     spec = ProblemSpec(graph=g, p=ExponentField.constant(g, 4.0),
                        q=Potential.constant(g, 1.0),
                        f=PowerPlus(g, 1.0, 3.0, 1.0), lam=1e-8)
+    zero = DirichletFunction.zeros(g)
     with pytest.raises(ScanExhausted):
-        hill_point(spec, barrier=-1.0)
+        mountain_pass(spec, zero, DirichletFunction.from_interior(g, [1.0]), FAST)
 
 
 def hill_energy_bound(spec, xi):
@@ -161,14 +153,75 @@ def test_mountain_pass_cubic_saddle():
     assert len(roots) == 2
     low = descend(spec, DirichletFunction.zeros(spec.graph), Ball(3.0 ** -0.5), FAST)
     barrier = lambda_thresholds(instance_constants(spec)).sphere_lower_bound(spec.lam)
-    hill = hill_point(spec, barrier)
-    saddle = mountain_pass(spec, low.u, hill, 21, FAST, barrier=barrier)
+    u1 = DirichletFunction.from_interior(spec.graph, low.u.interior() + 1.0)
+    saddle = mountain_pass(spec, low.u, u1, FAST, barrier=barrier)
     assert saddle.converged
     assert saddle.kind == "Saddle"
     assert saddle.u.value("v1") == pytest.approx(roots[1], abs=1e-6)
-    assert saddle.value > max(energy_value(spec, low.u), energy_value(spec, hill)) \
+    assert saddle.residual_orig <= 1e-12
+    assert saddle.value >= barrier
+    assert saddle.value > max(energy_value(spec, low.u), energy_value(spec, u1)) \
         + 10 * FAST.grad_tol
     assert np.max(np.abs(saddle.u.values - low.u.values)) > 1e-6
+
+
+@pytest.mark.parametrize("side, seed, member", [(5, 7, 0), (8, 71, 0), (12, 71, 0), (24, 7, 0)])
+def test_solve_reports_both_solutions_on_two_solution_grids(side, seed, member):
+    spec = two_solution_grid(side, seed, member)
+    rep = solve(spec)
+    assert len(rep.solutions) == 2, rep.notes
+    for pt in rep.solutions:
+        assert pt.residual_orig <= 1e-8
+        assert verify_positive(spec, pt.u).passed
+    saddle = next(pt for pt in rep.solutions if pt.kind == "Saddle")
+    assert saddle.value >= rep.sphere_lower_bound > 0.0
+
+
+def test_minres_matches_a_dense_solve():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    eig = np.concatenate([[-3.0, -0.5], rng.uniform(0.2, 5.0, 10)])
+    A = (q * eig) @ q.T
+    b = rng.standard_normal(12)
+    x = plap.solver._minres(lambda y: A @ y, b, 50)
+    assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-8
+
+
+def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monkeypatch):
+    # On the steep fixture the gradient's rounding floor (J is about 1e17)
+    # lies far above grad_tol, so the search cannot succeed; it must give up
+    # after a fixed number of energy and gradient evaluations.
+    from plap import fixture_path, load_problem
+
+    spec = load_problem(fixture_path("triangle_pendant_steep.json")).spec
+    counts = {"J": 0, "grad": 0}
+    active = [False]
+    points = []
+    search = plap.solver.mountain_pass
+
+    def counting(fn, key):
+        def wrapped(spec_, v):
+            counts[key] += active[0]
+            return fn(spec_, v)
+        return wrapped
+
+    def traced_search(*args, **kwargs):
+        active[0] = True
+        try:
+            points.append(search(*args, **kwargs))
+        finally:
+            active[0] = False
+        return points[-1]
+
+    monkeypatch.setattr(plap.solver, "_J", counting(plap.solver._J, "J"))
+    monkeypatch.setattr(plap.solver, "_interior_grad",
+                        counting(plap.solver._interior_grad, "grad"))
+    monkeypatch.setattr(plap.solver, "mountain_pass", traced_search)
+    rep = solve(spec)
+    [point] = points
+    assert not point.converged
+    assert any(note.startswith("mountain-pass search did not converge") for note in rep.notes)
+    assert counts["J"] <= 20 and counts["grad"] <= 400, counts
 
 
 def test_kkt_interior_point():

@@ -69,47 +69,27 @@ def check_inequality(
     Returns (lhs, rhs, holds); "holds" allows a 1e-12 relative rounding slack.
     """
     c = instance_constants(spec)
+    bound = inequality_bound(which, c, m)
     g = spec.graph
     ui = u.values[: g.n_interior]
-    nu = norm(u)
-    if which == "a1":
-        K = inequality_bound(which, c, m)
+    if which in ("a1", "a3"):
         lhs = float(np.sum(np.abs(ui) ** m))
-        rhs = K * nu ** m
-        upper = True
     elif which == "a2":
-        K = inequality_bound(which, c, m)
         lhs = float(np.sum(np.abs(u.values[None, :] - u.values[:, None]) ** m))
-        rhs = K * nu ** m
-        upper = True
-    elif which == "a3":
-        K = inequality_bound(which, c, m)
-        lhs = float(np.sum(np.abs(ui) ** m))
-        rhs = K * nu ** m
-        upper = False
-    elif which == "a4":
-        K1, K2 = inequality_bound(which, c)
+    elif which in ("a4", "a6"):
         lhs = float(np.sum(np.abs(ui) ** spec.p.interior()))
-        rhs = K1 * nu ** c.p_minus - K2
-        upper = False
     elif which == "a5":
-        K1, K2 = inequality_bound(which, c)
         # sum of |u(x)-u(y)|^p(x) w(x,y) = sum_k a_k (u(r) - u(c)) over edges
         lhs = edge_pairing(g, edge_flux(g, spec._p_rows, u.values), u.values)
-        rhs = K1 * nu ** c.pbar_plus + K2
-        upper = True
-    elif which == "a6":
-        K1, K2 = inequality_bound(which, c)
-        lhs = float(np.sum(np.abs(ui) ** spec.p.interior()))
-        rhs = K1 * nu ** c.p_plus + K2
-        upper = True
-    elif which == "a7":
-        K = inequality_bound(which, c)
+    else:  # a7
         lhs = float(np.max(np.abs(ui)))
-        rhs = K * nu
-        upper = True
-    else:
-        raise DomainError(f"unknown inequality {which!r}")
+    upper = which not in ("a3", "a4")
+    # rhs = K ||u||^e, or K1 ||u||^e + K2 (a5, a6) and - K2 (a4).
+    e = {"a4": c.p_minus, "a5": c.pbar_plus, "a6": c.p_plus, "a7": 1.0}.get(which, m)
+    K1, K2 = bound if isinstance(bound, tuple) else (bound, None)
+    rhs = K1 * norm(u) ** e
+    if K2 is not None:
+        rhs += K2 if upper else -K2
 
     slack = _FP_SLACK * (1.0 + abs(lhs) + abs(rhs))
     holds = lhs <= rhs + slack if upper else lhs >= rhs - slack

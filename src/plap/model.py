@@ -141,38 +141,6 @@ class GrowthEnvelope:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def m1_minus(self) -> float:
-        return float(self.m1.min())
-
-    @property
-    def m1_plus(self) -> float:
-        return float(self.m1.max())
-
-    @property
-    def m2_minus(self) -> float:
-        return float(self.m2.min())
-
-    @property
-    def m2_plus(self) -> float:
-        return float(self.m2.max())
-
-    @property
-    def phi1_min(self) -> float:
-        return float(self.phi1.min())
-
-    @property
-    def phi2_max(self) -> float:
-        return float(self.phi2.max())
-
-    @property
-    def psi1_min(self) -> float:
-        return float(self.psi1.min())
-
-    @property
-    def psi2_max(self) -> float:
-        return float(self.psi2.max())
-
 
 class Nonlinearity:
     """Base class: f(x, t) for interior x and t >= 0, plus its primitive F.
@@ -456,10 +424,10 @@ def instance_constants(spec: ProblemSpec) -> InstanceConstants:
     kw = {}
     if env is not None:
         kw = dict(
-            m1_minus=env.m1_minus, m1_plus=env.m1_plus,
-            m2_minus=env.m2_minus, m2_plus=env.m2_plus,
-            phi1_min=env.phi1_min, phi2_max=env.phi2_max,
-            psi1_min=env.psi1_min, psi2_max=env.psi2_max,
+            m1_minus=float(env.m1.min()), m1_plus=float(env.m1.max()),
+            m2_minus=float(env.m2.min()), m2_plus=float(env.m2.max()),
+            phi1_min=float(env.phi1.min()), phi2_max=float(env.phi2.max()),
+            psi1_min=float(env.psi1.min()), psi2_max=float(env.psi2.max()),
         )
     return InstanceConstants(
         n_interior=g.n_interior, n_boundary=g.n_boundary, n_vertices=g.n_vertices,

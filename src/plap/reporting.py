@@ -8,6 +8,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Any
 
@@ -15,7 +16,7 @@ from . import __version__
 from .bounds import LambdaThresholds
 from .calculus import VertexFunction
 from .errors import DegenerateExponent, GammaTooSmall
-from .model import InstanceConstants, ProblemSpec
+from .model import InstanceConstants, ProblemSpec, instance_constants
 from .solver import CriticalPoint, SolveReport
 
 
@@ -102,26 +103,8 @@ def tool_section() -> dict:
 
 
 def constants_section(c: InstanceConstants) -> dict:
-    sec = {
-        "n_interior": c.n_interior,
-        "n_boundary": c.n_boundary,
-        "n_vertices": c.n_vertices,
-        "max_weight": c.max_weight,
-        "p_minus": c.p_minus,
-        "p_plus": c.p_plus,
-        "pbar_minus": c.pbar_minus,
-        "pbar_plus": c.pbar_plus,
-        "q_minus": c.q_minus,
-        "q_plus": c.q_plus,
-    }
-    if c.has_envelope:
-        sec.update({
-            "m1_minus": c.m1_minus, "m1_plus": c.m1_plus,
-            "m2_minus": c.m2_minus, "m2_plus": c.m2_plus,
-            "phi1_min": c.phi1_min, "phi2_max": c.phi2_max,
-            "psi1_min": c.psi1_min, "psi2_max": c.psi2_max,
-        })
-    return sec
+    # Declaration order; the envelope fields are None when f has no envelope.
+    return {k: v for k, v in dataclasses.asdict(c).items() if v is not None}
 
 
 def thresholds_section(th: LambdaThresholds | None, lam: float,
@@ -181,8 +164,6 @@ def reference_comparison(reference: dict[str, float] | None,
 
 def solve_report_document(spec: ProblemSpec, rep: SolveReport, gamma: float | None,
                           reference: dict[str, float] | None = None) -> dict:
-    from .model import instance_constants
-
     th_sec = thresholds_section(rep.thresholds, spec.lam, gamma)
     doc: dict[str, Any] = {
         "tool": tool_section(),

@@ -64,6 +64,8 @@ class SolverOptions:
             raise DomainError("tolerances must be finite and positive, iteration budgets positive")
         if self.restarts < 0:
             raise DomainError(f"restarts must be nonnegative, got {self.restarts}")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
 # -- norm constraints on the interior vector ---------------------------------
@@ -115,18 +117,13 @@ class CriticalPoint:
     u: DirichletFunction
     value: float
     residual_inf: float            # constraint-appropriate residual
-    kind: str                      # "Minimizer" | "Saddle" | "Unclassified"
+    kind: str                      # "Minimizer" | "Saddle"
     positive_on_S: bool
     norm: float
     grad_inf: float                # unconstrained gradient sup-norm
     converged: bool
     iterations: int
     residual_orig: float | None = None
-    start_seed: int | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.converged and math.isfinite(self.value)
 
 
 def _full(spec: ProblemSpec, vals_int: np.ndarray) -> np.ndarray:
@@ -143,7 +140,7 @@ def _J(spec: ProblemSpec, vals_int: np.ndarray) -> float:
 
 def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
               residual: float, kind: str, converged: bool, iterations: int,
-              grad_inf: float, seed: int | None = None) -> CriticalPoint:
+              grad_inf: float) -> CriticalPoint:
     u = DirichletFunction.from_interior(spec.graph, vals_int)
     ui = u.interior()
     res_orig = None
@@ -153,7 +150,7 @@ def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
         u=u, value=value, residual_inf=residual, kind=kind,
         positive_on_S=bool(np.all(ui > 0.0)), norm=float(np.linalg.norm(ui)),
         grad_inf=grad_inf, converged=converged, iterations=iterations,
-        residual_orig=res_orig, start_seed=seed,
+        residual_orig=res_orig,
     )
 
 
@@ -164,8 +161,7 @@ def _residual_measure(constraint: Constraint, v: np.ndarray, g: np.ndarray) -> f
 
 
 def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = None,
-            opts: SolverOptions | None = None, kind: str = "Minimizer",
-            seed: int | None = None) -> CriticalPoint:
+            opts: SolverOptions | None = None) -> CriticalPoint:
     """Projected-gradient descent of J from u0.
 
     A trial point c with step d = c - v is accepted when J(c) <= J(v) -
@@ -250,7 +246,7 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
     residual = _residual_measure(constraint, v, g)
     converged = converged or residual <= opts.grad_tol
     grad_inf = float(np.max(np.abs(g)))
-    return _as_point(spec, v, J, residual, kind, converged, it, grad_inf, seed)
+    return _as_point(spec, v, J, residual, "Minimizer", converged, it, grad_inf)
 
 
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -276,7 +272,7 @@ def _spike_energies(spec: ProblemSpec, t: float, F0: np.ndarray) -> np.ndarray:
     return dirichlet + potential - spec.lam * (F0.sum() - F0 + Ft)
 
 
-def spike_point(spec: ProblemSpec, opts: SolverOptions | None = None) -> DirichletFunction:
+def spike_point(spec: ProblemSpec) -> DirichletFunction:
     """A single-vertex bump with negative energy strictly inside the small ball.
 
     The first height tried is t0(lambda)/2 (capped below the ball radius);
@@ -583,9 +579,9 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     sphere_bound: float | None = None
     kkt_info: KKTInfo | None = None
 
-    def run(start: np.ndarray, constraint: Constraint, seed: int | None = None) -> CriticalPoint:
+    def run(start: np.ndarray, constraint: Constraint) -> CriticalPoint:
         u0 = DirichletFunction.from_interior(spec.graph, _project(constraint, start))
-        return descend(spec, u0, constraint, opts, seed=seed)
+        return descend(spec, u0, constraint, opts)
 
     two_solution = regime.has(RegimeTag.TWO_SOLUTIONS) or regime.has(RegimeTag.TWO_SOLUTIONS_KKT)
     ball_regime = two_solution or regime.has(RegimeTag.EKELAND)
@@ -599,13 +595,13 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             )
         starts: list[np.ndarray] = []
         try:
-            starts.append(spike_point(spec, opts).interior().copy())
+            starts.append(spike_point(spec).interior().copy())
         except ConstructionFailed as exc:
             notes.append(f"spike construction failed: {exc}")
         starts.append(np.zeros(n))
         for _ in range(opts.restarts):
             starts.append(_random_direction(rng, n) * radius * rng.uniform(0.05, 0.95))
-        ball_points = [run(s, Ball(radius), seed=i) for i, s in enumerate(starts)]
+        ball_points = [run(s, Ball(radius)) for s in starts]
         interior_ok = [
             pt for pt in ball_points
             if pt.converged and pt.grad_inf <= opts.grad_tol and pt.norm < radius * (1 - 1e-9)
@@ -663,10 +659,10 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             except InfeasiblePoint as exc:
                 notes.append(f"KKT extraction failed: {exc}")
     else:
-        points = [run(np.zeros(n), None, seed=0)]
+        points = [run(np.zeros(n), None)]
         if not (uniqueness.certified and points[0].converged):
-            for i in range(1, opts.restarts + 1):
-                points.append(run(rng.uniform(-0.5, 1.5, n), None, seed=i))
+            for _ in range(opts.restarts):
+                points.append(run(rng.uniform(-0.5, 1.5, n), None))
         good = [pt for pt in points if pt.converged]
         if good:
             candidates.append(min(good, key=lambda pt: pt.value))

@@ -17,6 +17,7 @@ from plap import (
     inequality_bound,
     instance_constants,
     lambda_thresholds,
+    norm,
 )
 from plap.errors import DegenerateExponent, DomainError, GammaTooSmall
 
@@ -83,6 +84,23 @@ def test_check_all_hold_at_zero():
         assert lhs == 0.0
         if item == "a4":
             assert rhs == -1.0  # reads -|S| at u = 0
+
+
+def test_pair_inequality_right_sides():
+    # p^- = 4, p^+ = 6 and pbar^+ = 9 differ, so each of a4/a5/a6 pins its
+    # own exponent, and the sign of K2 separates a4 from a5/a6.
+    g = make_triangle_pendant_graph()
+    p = ExponentField(g, {f"x{i}": float(i + 3) for i in range(1, 7)})
+    spec = ProblemSpec(graph=g, p=p, q=Potential.constant(g, 1.0),
+                       f=PowerPlus(g, 1.0, 3.0, 1.0), lam=1.0)
+    c = instance_constants(spec)
+    assert (c.p_minus, c.p_plus, c.pbar_plus) == (4.0, 6.0, 9.0)
+    u = DirichletFunction.from_interior(g, [0.9, -1.3, 0.7])
+    nu = norm(u)
+    for item, e, sign in (("a4", 4.0, -1.0), ("a5", 9.0, 1.0), ("a6", 6.0, 1.0)):
+        K1, K2 = inequality_bound(item, c)
+        _, rhs, _ = check_inequality(item, spec, u)
+        assert rhs == K1 * nu ** e + sign * K2, item
 
 
 def test_inequality_fuzz():

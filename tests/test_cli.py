@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from plap import (
 )
 from plap.cli import main
 from plap.errors import InvariantError, ParseError, SchemaError
+from plap.model import InstanceConstants
 from plap.problem_io import parse_document
 from plap.reporting import dumps, format_float
 
@@ -163,6 +165,19 @@ def test_bounds_gamma_too_small(capsys):
     code, out, err = run_cli(["bounds", triangle_file(), "--gamma", "2.0"], capsys)
     assert code == 3
     assert "gamma0" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "solve"])
+def test_instance_section_lists_constants_in_declaration_order(capsys, command):
+    names = [f.name for f in dataclasses.fields(InstanceConstants)]
+    code, out, _ = run_cli([command, cubic_file()], capsys)
+    assert code == 0
+    assert list(json.loads(out)["instance"]) == names
+    # phi = 0 leaves f without a growth envelope: only the ten graph,
+    # exponent and potential constants are reported.
+    code, out, _ = run_cli([command, linear_file()], capsys)
+    assert code == 0
+    assert list(json.loads(out)["instance"]) == names[:10]
 
 
 def test_solve_command(capsys):
@@ -326,11 +341,18 @@ def test_certified_report_byte_identical_across_processes():
     assert json.loads(a.stdout)["uniqueness"]["certified"] is True
 
 
-def test_negative_restarts_exit_2(capsys):
-    code, out, err = run_cli(["solve", cubic_file(), "--restarts", "-3"], capsys)
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("option, value", [("--restarts", "-3"), ("--seed", "-1")],
+                         ids=["restarts", "seed"])
+def test_negative_option_exit_2(capsys, command, option, value):
+    args = [command, cubic_file(), option, value]
+    if command == "sweep":
+        args += ["--lambda-min", "0.05", "--lambda-max", "1.0", "--steps", "3"]
+    code, out, err = run_cli(args, capsys)
     assert code == 2
     assert out == ""
-    assert "restarts" in err
+    assert err.startswith("plap: ")
+    assert ("restarts" if option == "--restarts" else "rng_seed") in err
 
 
 def test_library_and_solve_do_not_import_scipy():

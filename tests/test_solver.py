@@ -545,6 +545,12 @@ def test_negative_restarts_rejected():
     assert SolverOptions(restarts=0).restarts == 0
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(DomainError, match="rng_seed"):
+        SolverOptions(rng_seed=-1)
+    assert SolverOptions(rng_seed=0).rng_seed == 0
+
+
 @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
 def test_non_finite_tolerance_rejected(tol):
     with pytest.raises(DomainError, match="tolerances must be finite and positive"):
@@ -650,7 +656,7 @@ def test_certified_solve_runs_one_descent(monkeypatch):
         rep = solve(spec, FAST)
         assert rep.uniqueness.certified
         assert calls == [None]
-        alone = descend(spec, DirichletFunction.zeros(spec.graph), None, FAST, seed=0)
+        alone = descend(spec, DirichletFunction.zeros(spec.graph), None, FAST)
         assert np.array_equal(rep.solutions[0].u.values, alone.u.values)
 
 

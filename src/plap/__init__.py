@@ -22,6 +22,7 @@ from .bounds import (
     Regime,
     RegimeTag,
     UniquenessCertificate,
+    ball_convexity_certificate,
     check_inequality,
     classify_regime,
     inequality_bound,

@@ -6,8 +6,9 @@ Euclidean norm.  The thresholds lambda1, lambda2, lambda3(gamma), the minimal
 annulus radius gamma0, the admissible spike height t0(lambda) and the lower
 bound of the energy on the small sphere are closed formulas in the instance
 constants; which existence/multiplicity regime applies is read off from the
-exponent relations and the thresholds, and ``uniqueness_certificate`` tells
-in closed form when the positive solution is unique.
+exponent relations and the thresholds.  ``uniqueness_certificate`` tells in
+closed form when the positive solution is unique, and
+``ball_convexity_certificate`` when J is strictly convex on the small ball.
 """
 
 from __future__ import annotations
@@ -280,3 +281,44 @@ def uniqueness_certificate(spec: ProblemSpec) -> UniquenessCertificate:
     return UniquenessCertificate(
         True, f"power_plus with constant p = {p:g} and max m = {f.m[k]:g} <= p: "
               f"f(x, t)/t^(p-1) is strictly decreasing, so J has at most one critical point")
+
+
+def ball_convexity_certificate(spec: ProblemSpec, radius: float) -> UniquenessCertificate:
+    """Closed-form test that J is strongly convex on the ball B of that radius.
+
+    It holds when f(x, t) = phi t^(m-1) + psi (``PowerPlus``), p = 2 on all
+    of S-bar and lambda phi(x) (m(x) - 1) radius^(m(x) - 2) < q(x) at every
+    interior x.
+
+    Proof.  For p = 2 the gradient of J is L_w u + q u - lambda f(x, u_plus),
+    where L_w is the weighted Laplacian restricted to the interior: a
+    positive semidefinite matrix.  On B every |u(x)| <= radius, and since
+    m >= 2 the map t -> f(x, t_plus) is nondecreasing with slope
+    d_t f = phi (m - 1) t^(m-2) <= phi (m - 1) radius^(m-2) there (slope 0
+    for t < 0).  So the Hessian L_w + diag(q - lambda d_t f(x, u_plus)) is
+    bounded below by diag(q - lambda phi (m - 1) radius^(m-2)), which is
+    positive definite, and J is strongly convex on the convex set B.  It
+    has exactly one minimizer on B, and projected descent from zero reaches
+    it: further starts in B can only find it again.
+    """
+    f = spec.f
+    if type(f) is not PowerPlus:
+        return UniquenessCertificate(
+            False, f"nonlinearity kind {f.kind} has no closed-form bound on the slope of f")
+    if spec.p.pbar_minus != spec.p.pbar_plus:
+        return UniquenessCertificate(False, "p is not constant on S-bar")
+    p = spec.p.pbar_plus
+    if p != 2.0:
+        return UniquenessCertificate(
+            False, f"p = {p:g} is not 2: the Hessian of J degenerates at u = 0")
+    slope = spec.lam * f.phi * (f.m - 1.0) * radius ** (f.m - 2.0)
+    q = spec.q.values
+    k = int(np.argmax(slope - q))
+    if not slope[k] < q[k]:
+        return UniquenessCertificate(
+            False, f"lambda phi (m-1) rho^(m-2) = {slope[k]:.6g} >= q = {q[k]:.6g} "
+                   f"at {spec.graph.interior[k]}")
+    return UniquenessCertificate(
+        True, f"p = 2 and lambda phi (m-1) rho^(m-2) < q at every interior vertex "
+              f"(rho = {radius:.6g}): J is strongly convex on the ball, so it has one "
+              f"minimizer there")

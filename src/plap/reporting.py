@@ -175,6 +175,8 @@ def solve_report_document(spec: ProblemSpec, rep: SolveReport, gamma: float | No
         "regime": rep.regime.sorted_names(),
         "uniqueness": {"certified": rep.uniqueness.certified,
                        "reason": rep.uniqueness.reason},
+        "ball_convexity": {"certified": rep.ball_convexity.certified,
+                           "reason": rep.ball_convexity.reason},
         "solutions": [solution_section(pt) for pt in rep.solutions],
         "sphere_lower_bound": rep.sphere_lower_bound,
         "kkt": None,

@@ -22,6 +22,7 @@ from .bounds import (
     Regime,
     RegimeTag,
     UniquenessCertificate,
+    ball_convexity_certificate,
     classify_regime,
     lambda_thresholds,
     uniqueness_certificate,
@@ -525,6 +526,7 @@ class KKTInfo:
 class SolveReport:
     regime: Regime
     uniqueness: UniquenessCertificate
+    ball_convexity: UniquenessCertificate
     thresholds: LambdaThresholds | None
     solutions: list[CriticalPoint]
     sphere_lower_bound: float | None
@@ -557,7 +559,11 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     second critical point (and, with gamma, an annulus-constrained
     minimization with KKT multipliers).  When ``uniqueness_certificate``
     holds, the unconstrained descent from zero that converges is the only
-    critical point, and the random restarts are skipped.  Sub-operation
+    critical point, and the random restarts are skipped.  When
+    ``ball_convexity_certificate`` holds, the ball descent from zero that
+    converges strictly inside the ball with J < 0 is the only minimizer
+    there, and the spike and restart descents are skipped; their starts are
+    still drawn, so the annulus starts read the same stream.  Sub-operation
     failures become notes; partial results are returned flagged rather than
     raised.
     """
@@ -574,6 +580,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     rng = np.random.default_rng(opts.rng_seed)
     n = spec.graph.n_interior
     radius = c.n_vertices ** -0.5
+    ball_convexity = ball_convexity_certificate(spec, radius)
 
     candidates: list[CriticalPoint] = []
     sphere_bound: float | None = None
@@ -593,19 +600,26 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
                 f"sphere lower bound {sphere_bound:.6g} is not positive; "
                 f"separating barrier not certified"
             )
-        starts: list[np.ndarray] = []
-        try:
-            starts.append(spike_point(spec).interior().copy())
-        except ConstructionFailed as exc:
-            notes.append(f"spike construction failed: {exc}")
-        starts.append(np.zeros(n))
-        for _ in range(opts.restarts):
-            starts.append(_random_direction(rng, n) * radius * rng.uniform(0.05, 0.95))
-        ball_points = [run(s, Ball(radius)) for s in starts]
-        interior_ok = [
-            pt for pt in ball_points
-            if pt.converged and pt.grad_inf <= opts.grad_tol and pt.norm < radius * (1 - 1e-9)
-        ]
+        restarts = [_random_direction(rng, n) * radius * rng.uniform(0.05, 0.95)
+                    for _ in range(opts.restarts)]
+
+        def inside(pt: CriticalPoint) -> bool:
+            return pt.converged and pt.grad_inf <= opts.grad_tol and pt.norm < radius * (1 - 1e-9)
+
+        ball = Ball(radius)
+        zero = run(np.zeros(n), ball)
+        # J(0) = 0, so J < 0 also rejects a descent stalled at u = 0.
+        if ball_convexity.certified and inside(zero) and zero.value < 0.0:
+            ball_points = [zero]
+        else:
+            ball_points = []
+            try:
+                ball_points.append(run(spike_point(spec).interior(), ball))
+            except ConstructionFailed as exc:
+                notes.append(f"spike construction failed: {exc}")
+            ball_points.append(zero)
+            ball_points += [run(s, ball) for s in restarts]
+        interior_ok = [pt for pt in ball_points if inside(pt)]
         best = None
         if interior_ok:
             best = min(interior_ok, key=lambda pt: pt.value)
@@ -686,7 +700,8 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
         if not rep.passed:
             notes.append(f"positivity certificate failed: {rep.message}")
     return SolveReport(
-        regime=regime, uniqueness=uniqueness, thresholds=thresholds, solutions=solutions,
+        regime=regime, uniqueness=uniqueness, ball_convexity=ball_convexity,
+        thresholds=thresholds, solutions=solutions,
         sphere_lower_bound=sphere_bound, kkt=kkt_info, notes=notes,
         seed=opts.rng_seed,
     )

@@ -140,6 +140,21 @@ def unique_solution_specs(draw):
     return ProblemSpec(g, p, q, f, lambda2 + draw(st.floats(0.05, 2.0)))
 
 
+@st.composite
+def ball_convexity_specs(draw):
+    """Small-ball instances in the reach of the ball convexity certificate: a
+    connected graph, p = 2, q in [0.1, 3], power_plus with m in [2, 12] and
+    phi, psi in [0.1, 2], and lambda in [0.05, 0.99] lambda2."""
+    g = draw(connected_graphs())
+    n_int = g.n_interior
+    p = ExponentField.constant(g, 2.0)
+    q = Potential(g, _float_lists(draw, 0.1, 3.0, n_int))
+    f = PowerPlus(g, phi=_float_lists(draw, 0.1, 2.0, n_int),
+                  m=_float_lists(draw, 2.0, 12.0, n_int), psi=_float_lists(draw, 0.1, 2.0, n_int))
+    lambda2 = lambda_thresholds(instance_constants(ProblemSpec(g, p, q, f, 1.0))).lambda2
+    return ProblemSpec(g, p, q, f, draw(st.floats(0.05, 0.99)) * lambda2)
+
+
 def random_dirichlet(rng, graph, lo=-2.0, hi=2.0):
     return DirichletFunction.from_interior(graph, rng.uniform(lo, hi, graph.n_interior))
 

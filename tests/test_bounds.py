@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plap import (
+    ArctanPower,
     DirichletFunction,
     ExponentField,
     Potential,
     PowerPlus,
     ProblemSpec,
     RegimeTag,
+    ball_convexity_certificate,
     check_inequality,
     classify_regime,
     energy_value,
@@ -19,9 +21,11 @@ from plap import (
     lambda_thresholds,
     norm,
 )
+from plap.energy import gradient_values
 from plap.errors import DegenerateExponent, DomainError, GammaTooSmall
 
 from conftest import (
+    ball_convexity_specs,
     cubic_star_spec,
     make_path_graph,
     make_triangle_pendant_graph,
@@ -302,3 +306,74 @@ def test_sphere_lower_bound_holds_on_the_sphere(case):
     for v in points:
         J = energy_value(spec, DirichletFunction.from_interior(spec.graph, v))
         assert J >= bound - 1e-12 * (1.0 + abs(bound)), (J, bound, v)
+
+
+# -- ball convexity certificate ----------------------------------------------------
+
+def test_ball_convexity_on_the_cubic_path():
+    # rho^2 = 1/3, so lambda phi (m-1) rho^(m-2) = lambda against q = 1.
+    rho = 3.0 ** -0.5
+    assert ball_convexity_certificate(cubic_star_spec(lam=0.4), rho).certified
+    cert = ball_convexity_certificate(cubic_star_spec(lam=1.5), rho)
+    assert not cert.certified
+    assert cert.reason == "lambda phi (m-1) rho^(m-2) = 1.5 >= q = 1 at v1"
+
+
+def _convexity_threshold(spec, rho):
+    f = spec.f
+    return float(np.min(spec.q.values / (f.phi * (f.m - 1.0) * rho ** (f.m - 2.0))))
+
+
+@st.composite
+def convexity_cases(draw):
+    """A ``ball_convexity_specs`` instance with lambda moved to 0.5-0.99 or
+    1.01-2 times the certificate's threshold, and a point of the small ball."""
+    spec = draw(ball_convexity_specs())
+    rho = instance_constants(spec).n_vertices ** -0.5
+    scale = draw(st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0)))
+    lam = scale * _convexity_threshold(spec, rho)
+    n_int = spec.graph.n_interior
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n_int, max_size=n_int)))
+    nd = float(np.linalg.norm(direction))
+    point = direction * (draw(st.floats(0.0, 1.0)) * rho / nd) if nd > 1e-9 else 0.0 * direction
+    return ProblemSpec(spec.graph, spec.p, spec.q, spec.f, lam), scale < 1.0, point
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(convexity_cases())
+def test_ball_convexity_certificate_is_sound(case):
+    spec, below, point = case
+    rho = instance_constants(spec).n_vertices ** -0.5
+    cert = ball_convexity_certificate(spec, rho)
+    assert cert.certified == below
+    if not below:
+        return
+    # The central-difference Hessian of the gradient at the point.
+    n, nb = spec.graph.n_interior, spec.graph.n_boundary
+    h = 1e-6
+    H = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n + nb)
+        e[j] = h
+        base = np.concatenate((point, np.zeros(nb)))
+        H[:, j] = (gradient_values(spec, base + e) - gradient_values(spec, base - e))[:n] / (2 * h)
+    assert np.linalg.eigvalsh(0.5 * (H + H.T))[0] > 0.0
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(ball_convexity_specs())
+def test_ball_convexity_reasons(spec):
+    g, rho = spec.graph, instance_constants(spec).n_vertices ** -0.5
+    f = spec.f
+    arctan = ArctanPower(g, m=f.m, phi=f.phi, psi=f.psi)
+    per_vertex = ExponentField(g, np.linspace(2.0, 3.0, g.n_vertices))
+    cases = [
+        (ProblemSpec(g, spec.p, spec.q, arctan, spec.lam),
+         "nonlinearity kind arctan_power has no closed-form bound on the slope of f"),
+        (ProblemSpec(g, per_vertex, spec.q, f, spec.lam), "p is not constant on S-bar"),
+        (ProblemSpec(g, ExponentField.constant(g, 3.0), spec.q, f, spec.lam),
+         "p = 3 is not 2: the Hessian of J degenerates at u = 0"),
+    ]
+    for case, reason in cases:
+        cert = ball_convexity_certificate(case, rho)
+        assert (cert.certified, cert.reason) == (False, reason)

@@ -341,6 +341,20 @@ def test_certified_report_byte_identical_across_processes():
     assert json.loads(a.stdout)["uniqueness"]["certified"] is True
 
 
+def test_solve_report_carries_ball_convexity_after_uniqueness(capsys):
+    code, out, _ = run_cli(["solve", cubic_file()], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    keys = list(doc)
+    assert keys[keys.index("uniqueness") + 1] == "ball_convexity"
+    assert doc["ball_convexity"]["certified"] is True
+    code, out, _ = run_cli(["solve", triangle_file()], capsys)
+    assert json.loads(out)["ball_convexity"] == {
+        "certified": False,
+        "reason": "nonlinearity kind arctan_power has no closed-form bound on the slope of f",
+    }
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize("option, value", [("--restarts", "-3"), ("--seed", "-1")],
                          ids=["restarts", "seed"])

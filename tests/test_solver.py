@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import plap.solver
 from plap import (
@@ -14,12 +14,15 @@ from plap import (
     RegimeTag,
     SolverOptions,
     build_graph,
+    classify_regime,
     descend,
     energy_value,
+    fixture_path,
     instance_constants,
     kkt_multipliers,
     lambda_thresholds,
     mountain_pass,
+    parse_problem,
     solve,
     spike_point,
     verify_positive,
@@ -27,6 +30,7 @@ from plap import (
 from plap.errors import DomainError, InfeasiblePoint, InfeasibleStart, ScanExhausted
 
 from conftest import (
+    ball_convexity_specs,
     bisect_roots,
     constant_source_spec,
     cubic_star_spec,
@@ -352,12 +356,20 @@ def _counting_descend(monkeypatch):
 
 @pytest.mark.parametrize("restarts", [0, 3])
 def test_solve_runs_no_sphere_descents(monkeypatch, restarts):
-    # The ball regime descends from the spike, the origin and the random
-    # starts, and from nothing else: the barrier is closed form.
-    spec = cubic_star_spec(lam=0.4)
+    # The ball regime descends only inside the ball: the barrier is closed
+    # form.  On a convex ball the descent from the origin is the only one;
+    # otherwise the spike, the origin and every random start run.
     calls = _counting_descend(monkeypatch)
-    rep = solve(spec, SolverOptions(restarts=restarts))
+    rep = solve(cubic_star_spec(lam=0.4), SolverOptions(restarts=restarts))
+    assert rep.ball_convexity.certified
     assert len(rep.solutions) == 2
+    assert len(calls) == 1
+    assert isinstance(calls[0], Ball)
+
+    calls.clear()
+    spec = parse_problem(fixture_path("triangle_pendant.json"))
+    rep = solve(spec, SolverOptions(restarts=restarts))
+    assert rep.regime.has(RegimeTag.EKELAND) and not rep.ball_convexity.certified
     assert len(calls) == 2 + restarts
     assert all(isinstance(c, Ball) for c in calls)
 
@@ -705,3 +717,61 @@ def test_certified_solve_falls_back_to_restarts_when_the_first_descent_stops(mon
     assert rep.uniqueness.certified
     assert calls == [None] * 3
     assert not rep.solutions
+
+
+# -- ball convexity certificate ---------------------------------------------------
+
+def _ball_search_by_hand(spec, opts):
+    """The ball points of the full search: the descents from the spike, the
+    origin and each restart, the restarts drawn from ``solve``'s stream."""
+    radius = instance_constants(spec).n_vertices ** -0.5
+    rng = np.random.default_rng(opts.rng_seed)
+    n = spec.graph.n_interior
+    starts = [spike_point(spec).interior(), np.zeros(n)]
+    starts += [plap.solver._random_direction(rng, n) * radius * rng.uniform(0.05, 0.95)
+               for _ in range(opts.restarts)]
+    points = [descend(spec, DirichletFunction.from_interior(spec.graph, s), Ball(radius), opts)
+              for s in starts]
+    inside = [pt for pt in points if pt.converged and pt.grad_inf <= opts.grad_tol
+              and pt.norm < radius * (1 - 1e-9)]
+    return points, inside
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(ball_convexity_specs())
+def test_convex_ball_restarts_dedupe_to_the_reported_point(spec):
+    assume(classify_regime(instance_constants(spec), spec.lam).has(RegimeTag.EKELAND))
+    opts = SolverOptions(restarts=3)
+    rep = solve(spec, opts)
+    assert rep.ball_convexity.certified
+    radius = instance_constants(spec).n_vertices ** -0.5
+    ball = [pt for pt in rep.solutions if pt.norm < radius]
+    assert len(ball) == 1
+    _, inside = _ball_search_by_hand(spec, opts)
+    assert len(inside) == 2 + opts.restarts
+    assert len(plap.solver._dedupe(ball + inside)) == 1
+
+
+@pytest.mark.parametrize("opts, minimizer", [
+    # |grad J(0)|_inf = lambda psi = 0.04: the origin's descent stops at u = 0
+    (SolverOptions(restarts=3, grad_tol=0.05), True),
+    # the origin's descent does not converge
+    (SolverOptions(restarts=3, max_iter=1), False),
+], ids=["origin-stalls", "origin-unconverged"])
+def test_convex_ball_falls_back_to_every_start(monkeypatch, opts, minimizer):
+    spec = cubic_star_spec(lam=0.4)
+    calls = _counting_descend(monkeypatch)
+    rep = solve(spec, opts)
+    assert rep.ball_convexity.certified
+    assert len(calls) == 2 + opts.restarts
+    points, inside = _ball_search_by_hand(spec, opts)
+    found = [pt for pt in rep.solutions if pt.kind == "Minimizer"]
+    if minimizer:
+        assert points[1].value == 0.0 and points[1].iterations == 0
+        best = min(inside, key=lambda pt: pt.value)
+        assert len(found) == 1 and np.array_equal(found[0].u.values, best.u.values)
+    else:
+        assert not inside and not found
+        pinned = min(points, key=lambda pt: pt.value)
+        assert any(f"(norm {pinned.norm:.6g}, projected residual {pinned.residual_inf:.3g})"
+                   in note for note in rep.notes)

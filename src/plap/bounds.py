@@ -81,7 +81,7 @@ def check_inequality(
         lhs = float(np.sum(np.abs(ui) ** spec.p.interior()))
     elif which == "a5":
         # sum of |u(x)-u(y)|^p(x) w(x,y) = sum_k a_k (u(r) - u(c)) over edges
-        lhs = edge_pairing(g, edge_flux(g, spec._p_rows, u.values), u.values)
+        lhs = edge_pairing(g, edge_flux(g, spec._kernel.p_rows_m1, u.values), u.values)
     else:  # a7
         lhs = float(np.max(np.abs(ui)))
     upper = which not in ("a3", "a4")

@@ -30,9 +30,10 @@ def signed_power(d: float, p: float) -> float:
     return math.copysign(abs(d) ** (p - 1.0), d)
 
 
-def _signed_power_vec(d: np.ndarray, p: np.ndarray | float) -> np.ndarray:
-    # sign(d)*|d|**(p-1); |0|**(p-1) = 0 for p >= 2, so no masking needed.
-    return np.sign(d) * np.abs(d) ** (np.asarray(p) - 1.0)
+def _signed_power_vec(d: np.ndarray, p_m1: np.ndarray) -> np.ndarray:
+    # sign(d)*|d|**(p-1) from p_m1 = p - 1; |0|**(p-1) = 0 for p >= 2, so no
+    # masking needed.
+    return np.sign(d) * np.abs(d) ** p_m1
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +97,16 @@ def _as_values(u) -> np.ndarray:
     return u.values if isinstance(u, VertexFunction) else np.asarray(u, dtype=float)
 
 
-def edge_flux(g: Graph, p_rows: np.ndarray, uv: np.ndarray) -> np.ndarray:
+def edge_flux(g: Graph, p_rows_m1: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """a_k = |u(r)-u(c)|^(p(r)-2) (u(r)-u(c)) w(r,c) over ``g.ordered_pairs``.
 
-    The one edge term of the p(x)-Laplacian (``p_rows`` is p at the rows):
-    ``minus_laplacian`` sums it per row, the gradient of J takes half its row
-    sums minus half its column sums, and ``edge_pairing`` pairs it with v.
+    The one edge term of the p(x)-Laplacian (``p_rows_m1`` is p - 1 at the
+    rows): ``minus_laplacian`` sums it per row, the gradient of J takes half
+    its row sums minus half its column sums, and ``edge_pairing`` pairs it
+    with v.
     """
     rows, cols, w = g.ordered_pairs
-    return _signed_power_vec(uv[rows] - uv[cols], p_rows) * w
+    return _signed_power_vec(uv[rows] - uv[cols], p_rows_m1) * w
 
 
 def minus_laplacian(g: Graph, a: np.ndarray) -> np.ndarray:
@@ -119,7 +121,7 @@ def edge_pairing(g: Graph, a: np.ndarray, vv: np.ndarray) -> float:
 
 
 def _flux(g: Graph, p: "ExponentField", u) -> np.ndarray:
-    return edge_flux(g, np.asarray(p.values)[g.ordered_pairs[0]], _as_values(u))
+    return edge_flux(g, np.asarray(p.values)[g.ordered_pairs[0]] - 1.0, _as_values(u))
 
 
 def p_gradient(g: Graph, p: "ExponentField", u: VertexFunction, x: VertexId) -> np.ndarray:

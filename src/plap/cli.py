@@ -207,6 +207,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     _finite("--tol", args.tol)
+    if args.tol < 0:
+        raise DomainError(f"--tol must be nonnegative, got {args.tol}")
     doc = load_problem(args.file)
     spec = doc.spec
     values = parse_solution(args.solution, spec.graph)

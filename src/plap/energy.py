@@ -1,4 +1,4 @@
-"""The action functional, its exact gradient, and solution residuals.
+"""The action functional, its exact gradient and Hessian, and solution residuals.
 
 For u in the Dirichlet space A the energy is
 
@@ -22,6 +22,13 @@ coincides with -lap_p u(x) + q(x)|u(x)|^(p-2)u(x) - lambda f(x, u_plus(x));
 with per-vertex exponents the plain p(x)-Laplacian is not a gradient field,
 and the original-operator residual is reported separately by
 ``residual_original``.
+
+The Hessian of J at u applied to x is half the row sums minus half the
+column sums of c_k (x(r)-x(c)) over the ordered pairs k = (r, c), with
+c_k = (p(r)-1) |u(r)-u(c)|^(p(r)-2) w_k, plus the diagonal
+q (p-1) |u|^(p-2) - lambda d_t f(u_plus) times x; d_t f is 0 where u < 0,
+where the source is linear.  ``EvaluationKernel`` holds these formulas once
+per instance, and every public function below reads it.
 """
 
 from __future__ import annotations
@@ -36,6 +43,104 @@ from .errors import NegativeArgument
 from .model import ProblemSpec
 
 
+class EvaluationKernel:
+    """J, grad J and the exact Hessian product of one instance on plain
+    interior vectors, with every per-call constant computed once
+    (``ProblemSpec._kernel`` builds it on first use).  ``terms``,
+    ``gradient_at`` and ``residual`` read a full vertex array, which may be
+    nonzero on the boundary."""
+
+    def __init__(self, spec: ProblemSpec):
+        g = spec.graph
+        self.graph = g
+        self.n = g.n_interior
+        self.n_vertices = g.n_vertices
+        self.rows, self.cols, self.w = g.ordered_pairs
+        self.p_rows = spec.p.values[self.rows]
+        self.p_rows_m1 = self.p_rows - 1.0
+        self.p_int = spec.p.interior()
+        self.p_int_m1 = self.p_int - 1.0
+        self.q = spec.q.values
+        self.lam = spec.lam
+        self.f = spec.f
+        self.pad = np.zeros(g.n_boundary)
+
+    def full(self, v: np.ndarray) -> np.ndarray:
+        """The vertex array of the interior vector v, zero on the boundary."""
+        return np.concatenate((v, self.pad))
+
+    def _source(self, ui: np.ndarray) -> np.ndarray:
+        # F at max(t, 0) plus the linear continuation below zero.
+        vals = self.f.primitive_vector(np.maximum(ui, 0.0))
+        negmask = ui < 0.0
+        if negmask.any():
+            f0 = self.f.rate_vector(np.zeros_like(ui))
+            vals = vals + np.where(negmask, f0 * ui, 0.0)
+        return vals
+
+    def terms(self, uv: np.ndarray) -> tuple[float, float, float]:
+        """The Dirichlet, potential and source terms of J at the vertex array uv."""
+        ui = uv[: self.n]
+        with np.errstate(over="ignore"):
+            d = np.abs(uv[self.cols] - uv[self.rows])
+            dirichlet = 0.5 * float((d ** self.p_rows / self.p_rows * self.w).sum())
+            potential = float((np.abs(ui) ** self.p_int / self.p_int * self.q).sum())
+            source = self.lam * float(self._source(ui).sum())
+        return dirichlet, potential, source
+
+    def energy(self, v: np.ndarray) -> float:
+        """J at the interior vector v."""
+        dirichlet, potential, source = self.terms(self.full(v))
+        return dirichlet + potential - source
+
+    def _operator(self, edge: np.ndarray, ui: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # edge part + q sp(u, p) - lambda f(t) at the interior vertices
+        return (edge + self.q * _signed_power_vec(ui, self.p_int_m1)
+                - self.lam * self.f.rate_vector(t))
+
+    def gradient_at(self, uv: np.ndarray) -> np.ndarray:
+        """grad J at the interior vertices of the vertex array uv."""
+        n = self.n
+        ui = uv[:n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = edge_flux(self.graph, self.p_rows_m1, uv)
+            edge = 0.5 * (minus_laplacian(self.graph, a)[:n]
+                          - np.bincount(self.cols, a, self.n_vertices)[:n])
+            return self._operator(edge, ui, np.maximum(ui, 0.0))
+
+    def gradient(self, v: np.ndarray) -> np.ndarray:
+        """grad J at the interior vector v."""
+        return self.gradient_at(self.full(v))
+
+    def residual(self, uv: np.ndarray) -> float:
+        """Sup-norm over the interior of the original operator at uv >= 0."""
+        ui = uv[: self.n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = self._operator(
+                minus_laplacian(self.graph, edge_flux(self.graph, self.p_rows_m1, uv))[: self.n],
+                ui, ui)
+        return float(np.max(np.abs(val)))
+
+    def hessian(self, v: np.ndarray):
+        """x -> H x, H the exact Hessian of J at the interior vector v; c_k
+        and the diagonal are computed once, here."""
+        rows, cols, n, nv = self.rows, self.cols, self.n, self.n_vertices
+        with np.errstate(over="ignore", invalid="ignore"):
+            uv = self.full(v)
+            c = self.p_rows_m1 * np.abs(uv[rows] - uv[cols]) ** (self.p_rows - 2.0) * self.w
+            slope = np.where(v < 0.0, 0.0, self.f.slope_vector(np.maximum(v, 0.0)))
+            diag = self.q * self.p_int_m1 * np.abs(v) ** (self.p_int - 2.0) - self.lam * slope
+
+        def product(x: np.ndarray) -> np.ndarray:
+            xv = self.full(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = c * (xv[rows] - xv[cols])
+                return 0.5 * (np.bincount(rows, e, nv)[:n] - np.bincount(cols, e, nv)[:n]) \
+                    + diag * x
+
+        return product
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     dirichlet_term: float
@@ -47,32 +152,10 @@ class EnergyBreakdown:
         return self.dirichlet_term + self.potential_term - self.source_term
 
 
-def _source_primitive(spec: ProblemSpec, ui: np.ndarray) -> np.ndarray:
-    # F at max(t, 0) plus the linear continuation below zero.
-    pos = np.maximum(ui, 0.0)
-    vals = spec.f.primitive_vector(pos)
-    negmask = ui < 0.0
-    if np.any(negmask):
-        f0 = spec.f.rate_vector(np.zeros_like(ui))
-        vals = vals + np.where(negmask, f0 * ui, 0.0)
-    return vals
-
-
 def energy(spec: ProblemSpec, u: DirichletFunction | np.ndarray) -> EnergyBreakdown:
     """Evaluate J term by term in the rewritten double-sum form; ``u`` is a
     DirichletFunction or a plain array of every vertex value."""
-    g = spec.graph
-    uv = _as_values(u)
-    rows, cols, w = g.ordered_pairs
-    p_rows = spec._p_rows
-    with np.errstate(over="ignore"):
-        d = np.abs(uv[cols] - uv[rows])
-        dirichlet = 0.5 * float(np.sum(d ** p_rows / p_rows * w))
-        ui = uv[: g.n_interior]
-        pi = spec.p.interior()
-        potential = float(np.sum(np.abs(ui) ** pi / pi * spec.q.values))
-        source = spec.lam * float(np.sum(_source_primitive(spec, ui)))
-    return EnergyBreakdown(dirichlet, potential, source)
+    return EnergyBreakdown(*spec._kernel.terms(_as_values(u)))
 
 
 def energy_value(spec: ProblemSpec, u: DirichletFunction | np.ndarray) -> float:
@@ -82,21 +165,8 @@ def energy_value(spec: ProblemSpec, u: DirichletFunction | np.ndarray) -> float:
 def gradient_values(spec: ProblemSpec, uv: np.ndarray) -> np.ndarray:
     """Gradient of J as a full vertex array (zero on the boundary); its
     Dirichlet part is half the edge flux summed per row minus per column."""
-    g = spec.graph
-    n = g.n_vertices
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = edge_flux(g, spec._p_rows, uv)
-        diff_part = 0.5 * (
-            minus_laplacian(g, a) - np.bincount(g.ordered_pairs[1], weights=a, minlength=n)
-        )
-        ui = uv[: g.n_interior]
-        pi = spec.p.interior()
-        grad = np.zeros(n)
-        grad[: g.n_interior] = (
-            diff_part[: g.n_interior]
-            + spec.q.values * _signed_power_vec(ui, pi)
-            - spec.lam * spec.f.rate_vector(np.maximum(ui, 0.0))
-        )
+    grad = np.zeros(spec.graph.n_vertices)
+    grad[: spec.graph.n_interior] = spec._kernel.gradient_at(uv)
     return grad
 
 
@@ -129,15 +199,8 @@ def residual_original(spec: ProblemSpec, u: VertexFunction) -> float:
     operator reads u at every vertex, nonzero boundary values included.
     """
     g = spec.graph
-    uv = u.values
-    ui = uv[: g.n_interior]
+    ui = u.values[: g.n_interior]
     if np.any(ui < 0.0):
         x = g.interior[int(np.argmin(ui))]
         raise NegativeArgument(f"u({x}) < 0: the original problem evaluates f at u itself")
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = (
-            minus_laplacian(g, edge_flux(g, spec._p_rows, uv))[: g.n_interior]
-            + spec.q.values * _signed_power_vec(ui, spec.p.interior())
-            - spec.lam * spec.f.rate_vector(ui)
-        )
-    return float(np.max(np.abs(val)))
+    return spec._kernel.residual(u.values)

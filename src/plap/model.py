@@ -19,6 +19,8 @@ from .errors import DomainError, InvariantError, NegativeArgument
 from .graphs import Graph, VertexId
 from .quadrature import panel_quadrature
 
+_SLOPE_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+
 
 def _vertex_array(
     graph: Graph, data, labels: Sequence[VertexId], what: str
@@ -149,7 +151,9 @@ class Nonlinearity:
     once as the vectorized ``_rate(i, t)`` and F at most once as a closed-form
     ``_primitive(i, t)``; otherwise F comes from ``panel_quadrature``.  ``i``
     is a vertex index or an index array broadcast against the points, and
-    ``i = None`` is the whole interior (``rate_vector``, ``primitive_vector``).
+    ``i = None`` is the whole interior (``rate_vector``, ``primitive_vector``,
+    ``slope_vector``).  The slope d_t f is a difference quotient of ``_rate``
+    unless a subclass writes it in closed form.
     """
 
     kind = "custom"
@@ -174,6 +178,14 @@ class Nonlinearity:
 
     def primitive_vector(self, t: np.ndarray) -> np.ndarray:
         return self._primitive(None, t)
+
+    def slope_vector(self, t: np.ndarray) -> np.ndarray:
+        """d_t f over the interior at t >= 0: a central difference of
+        ``_rate``, one-sided where t is within a step of 0 so that f is read
+        at t >= 0 only."""
+        h = _SLOPE_STEP * (1.0 + t)
+        lo, hi = np.maximum(t - h, 0.0), t + h
+        return (self._rate(None, hi) - self._rate(None, lo)) / (hi - lo)
 
     def _interior_index(self, x: VertexId) -> int:
         i = self.graph.index_of(x)
@@ -217,6 +229,10 @@ class PowerPlus(Nonlinearity):
     def _primitive(self, i, t):
         phi, m, psi = self._at(i)
         return phi / m * t ** m + psi * t
+
+    def slope_vector(self, t):
+        phi, m, _ = self._params
+        return phi * (m - 1.0) * t ** (m - 2.0)
 
 
 class ArctanPower(Nonlinearity):
@@ -385,9 +401,11 @@ class ProblemSpec:
                 raise InvariantError(f"{name} is bound to a different graph")
 
     @cached_property
-    def _p_rows(self) -> np.ndarray:
-        rows, _, _ = self.graph.ordered_pairs
-        return self.p.values[rows]
+    def _kernel(self):
+        """The ``energy.EvaluationKernel`` of this instance, built on first use."""
+        from .energy import EvaluationKernel
+
+        return EvaluationKernel(self)
 
 
 @dataclass(frozen=True)

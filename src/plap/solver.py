@@ -7,7 +7,7 @@ by less than its rounding floor, by the slope test of Hager and Zhang's
 approximate Wolfe condition (SIAM J. Optim. 16, 2005).
 ``mountain_pass`` is the local minimax method of Li and Zhou (SIAM J. Sci.
 Comput. 23, 2001): it lowers the peak of J along rays from a low point, then
-finishes with Newton steps solved by MINRES on gradient differences.
+finishes with Newton steps solved by MINRES on the exact Hessian product.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .bounds import (
     uniqueness_certificate,
 )
 from .calculus import DirichletFunction
-from .energy import energy_value, gradient_values, residual_original
+from .energy import residual_original
 from .errors import (
     ConstructionFailed,
     DomainError,
@@ -48,7 +48,6 @@ _LMM_STEPS = 200
 _LMM_BACKTRACKS = 10
 _NEWTON_STEPS = 8
 _MINRES_ITER = 500
-_FD_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 _BB_LO, _BB_HI = 1e-10, 1e10
 _NORM_BLOWUP = 1e10
 
@@ -127,16 +126,16 @@ class CriticalPoint:
     residual_orig: float | None = None
 
 
-def _full(spec: ProblemSpec, vals_int: np.ndarray) -> np.ndarray:
-    return np.concatenate((vals_int, np.zeros(spec.graph.n_boundary)))
-
-
 def _interior_grad(spec: ProblemSpec, vals_int: np.ndarray) -> np.ndarray:
-    return gradient_values(spec, _full(spec, vals_int))[: spec.graph.n_interior]
+    return spec._kernel.gradient(vals_int)
 
 
 def _J(spec: ProblemSpec, vals_int: np.ndarray) -> float:
-    return energy_value(spec, _full(spec, vals_int))
+    return spec._kernel.energy(vals_int)
+
+
+def _hessian(spec: ProblemSpec, vals_int: np.ndarray):
+    return spec._kernel.hessian(vals_int)
 
 
 def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
@@ -263,7 +262,8 @@ def _spike_energies(spec: ProblemSpec, t: float, F0: np.ndarray) -> np.ndarray:
     # row i or column i, the potential and source at i, and F_j(0) elsewhere.
     g = spec.graph
     rows, cols, w = g.ordered_pairs
-    a = t ** spec._p_rows / spec._p_rows * w
+    p_rows = spec._kernel.p_rows
+    a = t ** p_rows / p_rows * w
     n = g.n_interior
     dirichlet = 0.5 * (np.bincount(rows, a, g.n_vertices)[:n]
                        + np.bincount(cols, a, g.n_vertices)[:n])
@@ -339,18 +339,12 @@ def _minres(hess, b: np.ndarray, max_iter: int) -> np.ndarray:
 
 def _newton(spec: ProblemSpec, v: np.ndarray, g: np.ndarray, grad_tol: float
             ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Newton steps from v, each solved by MINRES on the central difference of
-    the gradient; a step is kept only when it halves the gradient sup-norm."""
+    """Newton steps from v, each solved by MINRES on the exact Hessian
+    product; a step is kept only when it halves the gradient sup-norm."""
     steps = 0
     g_inf = float(np.max(np.abs(g)))
     while steps < _NEWTON_STEPS and g_inf > grad_tol:
-        scale = _FD_STEP * (1.0 + float(np.max(np.abs(v))))
-
-        def hess(x: np.ndarray) -> np.ndarray:
-            h = scale / float(np.max(np.abs(x)))
-            return (_interior_grad(spec, v + h * x) - _interior_grad(spec, v - h * x)) / (2 * h)
-
-        cand = v + _minres(hess, -g, min(2 * v.size, _MINRES_ITER))
+        cand = v + _minres(_hessian(spec, v), -g, min(2 * v.size, _MINRES_ITER))
         gc = _interior_grad(spec, cand)
         gc_inf = float(np.max(np.abs(gc)))
         if not gc_inf <= 0.5 * g_inf:

@@ -276,17 +276,19 @@ def test_solve_rejects_non_finite_tolerance(capsys, tol):
     assert "tolerances must be finite" in err
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
 def test_certify_rejects_non_finite_tolerance(capsys, tmp_path, tol):
     # u(v1) = 5 is far from a solution (residual about 35); an infinite
-    # tolerance used to pass it.
+    # tolerance used to pass it, and a negative one failed it as a
+    # certificate (exit 4) instead of a usage error.
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"u": {"v1": 5.0}}))
     code, out, err = run_cli(["certify", cubic_file(), "--solution", str(sol), "--tol", tol],
                              capsys)
     assert code == 2
     assert out == ""
-    assert "--tol must be a finite number" in err
+    message = "--tol must be nonnegative" if tol == "-1" else "--tol must be a finite number"
+    assert err.startswith("plap: ") and message in err
 
 
 @pytest.mark.parametrize("gamma", ["inf", "nan"])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plap import (
+    CustomNonlinearity,
     DirichletFunction,
     ExponentField,
     Potential,
@@ -10,14 +12,17 @@ from plap import (
     directional_slope,
     energy,
     energy_value,
+    eval_f,
     gradient_residual,
     residual_original,
 )
+from plap.energy import gradient_values
 from plap.errors import NegativeArgument
 
 from conftest import (
     constant_source_spec,
     cubic_star_spec,
+    problem_specs,
     random_dirichlet,
     random_graph,
     random_power_spec,
@@ -191,3 +196,58 @@ def test_source_term_extends_linearly_below_zero():
     g = gradient_residual(spec, u)
     fd = finite_difference(spec, u, 0)
     assert g.value("v1") == pytest.approx(fd, rel=1e-7)
+
+
+@st.composite
+def hessian_problems(draw):
+    """A generated problem (see ``problem_specs``) whose f is power_plus,
+    arctan_power or a custom wrapper of either, a point u and a direction x.
+
+    |u| on the interior and |u(r) - u(c)| on every pair stay at least 0.05,
+    so J is smooth within the finite-difference step at u."""
+    spec = draw(problem_specs())
+    g = spec.graph
+    if draw(st.booleans()):
+        inner = spec.f
+        custom = CustomNonlinearity(g, lambda x, t: eval_f(inner, x, t))
+        spec = ProblemSpec(g, spec.p, spec.q, custom, spec.lam)
+    n = g.n_interior
+    magnitude = 0.2 + 0.1 * np.array(draw(st.permutations(range(n))), dtype=float)
+    sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    u = draw(st.floats(0.5, 2.0)) * sign * magnitude
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return spec, u, x
+
+
+@given(hessian_problems())
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+def test_hessian_product_matches_central_differences_of_the_gradient(problem):
+    spec, u, x = problem
+    g = spec.graph
+
+    def grad(v):
+        return gradient_values(spec, DirichletFunction.from_interior(g, v).values)[: g.n_interior]
+
+    h = 1e-5
+    fd = (grad(u + h * x) - grad(u - h * x)) / (2.0 * h)
+    hx = spec._kernel.hessian(u)(x)
+    assert np.max(np.abs(hx - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(hx))))
+
+
+def test_hessian_for_p_two_is_the_weighted_laplacian_plus_a_diagonal():
+    # For p = 2 and power_plus, H = L_w + diag(q - lambda phi (m-1) u^(m-2)).
+    rng = np.random.default_rng(27)
+    for _ in range(20):
+        g = random_graph(rng, 10)
+        n = g.n_interior
+        q, phi, m = rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 2.0, n), rng.uniform(2.0, 6.0, n)
+        spec = ProblemSpec(g, ExponentField.constant(g, 2.0), Potential(g, q),
+                           PowerPlus(g, phi=phi, m=m, psi=rng.uniform(0.1, 2.0, n)),
+                           float(rng.uniform(0.01, 2.0)))
+        u = rng.uniform(0.05, 2.0, n)
+        W = g.weights[:n]
+        expected = (np.diag(W.sum(axis=1)) - W[:, :n]
+                    + np.diag(q - spec.lam * phi * (m - 1.0) * u ** (m - 2.0)))
+        product = spec._kernel.hessian(u)
+        dense = np.column_stack([product(e) for e in np.eye(n)])
+        assert np.max(np.abs(dense - expected)) <= 1e-12 * (1.0 + np.max(np.abs(expected)))

@@ -194,11 +194,12 @@ def test_minres_matches_a_dense_solve():
 def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monkeypatch):
     # On the steep fixture the gradient's rounding floor (J is about 1e17)
     # lies far above grad_tol, so the search cannot succeed; it must give up
-    # after a fixed number of energy and gradient evaluations.
+    # after a fixed number of energy, gradient and Hessian-product
+    # evaluations.
     from plap import fixture_path, load_problem
 
     spec = load_problem(fixture_path("triangle_pendant_steep.json")).spec
-    counts = {"J": 0, "grad": 0}
+    counts = {"J": 0, "grad": 0, "hess": 0}
     active = [False]
     points = []
     search = plap.solver.mountain_pass
@@ -220,12 +221,23 @@ def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monke
     monkeypatch.setattr(plap.solver, "_J", counting(plap.solver._J, "J"))
     monkeypatch.setattr(plap.solver, "_interior_grad",
                         counting(plap.solver._interior_grad, "grad"))
+    hessian = plap.solver._hessian
+
+    def counting_hessian(spec_, v):
+        product = hessian(spec_, v)
+
+        def counted(x):
+            counts["hess"] += active[0]
+            return product(x)
+        return counted
+
+    monkeypatch.setattr(plap.solver, "_hessian", counting_hessian)
     monkeypatch.setattr(plap.solver, "mountain_pass", traced_search)
     rep = solve(spec)
     [point] = points
     assert not point.converged
     assert any(note.startswith("mountain-pass search did not converge") for note in rep.notes)
-    assert counts["J"] <= 20 and counts["grad"] <= 400, counts
+    assert counts["J"] <= 20 and counts["grad"] + counts["hess"] <= 400, counts
 
 
 def test_kkt_interior_point():

@@ -83,7 +83,7 @@ def check_inequality(
         # sum of |u(x)-u(y)|^p(x) w(x,y) = sum_k a_k (u(r) - u(c)) over edges
         lhs = edge_pairing(g, edge_flux(g, spec._kernel.p_rows_m1, u.values), u.values)
     else:  # a7
-        lhs = float(np.max(np.abs(ui)))
+        lhs = float(np.abs(ui).max())
     upper = which not in ("a3", "a4")
     # rhs = K ||u||^e, or K1 ||u||^e + K2 (a5, a6) and - K2 (a4).
     e = {"a4": c.p_minus, "a5": c.pbar_plus, "a6": c.p_plus, "a7": 1.0}.get(which, m)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -111,22 +111,12 @@ def _cmd_validate(args) -> int:
     doc = load_problem(args.file)
     g = doc.spec.graph
     report = validate_graph(g)
-    summary = graph_summary(g)
     out = {
         "tool": tool_section(),
         "command": "validate",
         "file": args.file,
-        "graph": {
-            "n_interior": summary.n_interior,
-            "n_boundary": summary.n_boundary,
-            "n_vertices": summary.n_vertices,
-            "max_weight": summary.max_weight,
-            "degrees": summary.degrees,
-        },
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
-        ],
+        "graph": asdict(graph_summary(g)),
+        "checks": [asdict(c) for c in report.checks],
         "passed": report.passed,
     }
     sys.stdout.write(dumps(out))
@@ -220,7 +210,7 @@ def _cmd_certify(args) -> int:
         residual = residual_original(spec, u)
     except NegativeArgument as exc:
         note = str(exc)
-    out = certificate_document(spec, u, residual, positivity, args.tol)
+    out = certificate_document(u, residual, positivity, args.tol)
     if note:
         out["note"] = note
     sys.stdout.write(dumps(out))

@@ -119,7 +119,7 @@ class EvaluationKernel:
             val = self._operator(
                 minus_laplacian(self.graph, edge_flux(self.graph, self.p_rows_m1, uv))[: self.n],
                 ui, ui)
-        return float(np.max(np.abs(val)))
+        return float(np.abs(val).max())
 
     def hessian(self, v: np.ndarray):
         """x -> H x, H the exact Hessian of J at the interior vector v; c_k

@@ -1,14 +1,16 @@
 """Deterministic machine-readable reports (JSON and CSV).
 
-Floats are serialized with 17 significant digits so every report value
-round-trips losslessly; dictionaries keep insertion order, and nothing
-time- or host-dependent is ever emitted, so identical inputs produce
-byte-identical reports.
+Reports are plain dicts written by the standard ``json`` module.  Each float
+is written as Python's shortest repr that reads back to the same double,
+and a non-finite float as ``null``; dictionaries keep insertion order, and
+nothing time- or host-dependent is ever emitted, so identical inputs
+produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from typing import Any
 
@@ -17,77 +19,27 @@ from .bounds import LambdaThresholds
 from .calculus import VertexFunction
 from .errors import DegenerateExponent, GammaTooSmall
 from .model import InstanceConstants, ProblemSpec, instance_constants
-from .solver import CriticalPoint, SolveReport
+from .solver import CriticalPoint, PositivityReport, SolveReport
 
 
 def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    if x == int(x) and abs(x) < 1e16:
-        return f"{int(x)}.0"
-    return format(x, ".17g")
+    # float() first: numpy 2 reprs an np.float64 as "np.float64(0.05)".
+    return repr(float(x)) if math.isfinite(x) else "null"
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    out: list[str] = []
-    _write(obj, out, 0, indent)
-    out.append("\n")
-    return "".join(out)
+def _nulls(obj: Any) -> Any:
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _nulls(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulls(v) for v in obj]
+    return obj
 
 
-def _write(obj: Any, out: list[str], level: int, indent: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{pad}{_escape(str(k))}: ")
-            _write(v, out, level + 1, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(f"{closepad}}}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _write(v, out, level + 1, indent)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(f"{closepad}]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            parts.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
+def dumps(obj: Any) -> str:
+    return json.dumps(_nulls(obj), indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def csv_cell(x: Any) -> str:
@@ -173,44 +125,28 @@ def solve_report_document(spec: ProblemSpec, rep: SolveReport, gamma: float | No
         "instance": constants_section(instance_constants(spec)),
         "thresholds": th_sec,
         "regime": rep.regime.sorted_names(),
-        "uniqueness": {"certified": rep.uniqueness.certified,
-                       "reason": rep.uniqueness.reason},
-        "ball_convexity": {"certified": rep.ball_convexity.certified,
-                           "reason": rep.ball_convexity.reason},
+        "uniqueness": dataclasses.asdict(rep.uniqueness),
+        "ball_convexity": dataclasses.asdict(rep.ball_convexity),
         "solutions": [solution_section(pt) for pt in rep.solutions],
         "sphere_lower_bound": rep.sphere_lower_bound,
-        "kkt": None,
+        "kkt": None if rep.kkt is None else dataclasses.asdict(rep.kkt),
         "diagnostics": {"notes": list(rep.notes)},
     }
-    if rep.kkt is not None:
-        doc["kkt"] = {
-            "sigma": rep.kkt.sigma,
-            "theta": rep.kkt.theta,
-            "kappa": rep.kkt.kappa,
-            "norm_u": rep.kkt.norm_u,
-            "stationarity_inf": rep.kkt.stationarity_inf,
-        }
     cmp_sec = reference_comparison(reference, th_sec)
     if cmp_sec is not None:
         doc["reference_comparison"] = cmp_sec
     return doc
 
 
-def certificate_document(spec: ProblemSpec, u: VertexFunction,
-                         residual: float | None, positivity, tol: float) -> dict:
+def certificate_document(u: VertexFunction, residual: float | None,
+                         positivity: PositivityReport, tol: float) -> dict:
     passed = (positivity.passed and residual is not None and residual <= tol)
     return {
         "tool": tool_section(),
         "command": "certify",
         "tolerance": tol,
         "residual_original": residual,
-        "positivity": {
-            "boundary_zero": positivity.boundary_zero,
-            "strictly_positive": positivity.strictly_positive,
-            "negative_part_zero": positivity.negative_part_zero,
-            "min_interior": positivity.min_interior,
-            "message": positivity.message,
-        },
-        "norm": float(math.sqrt(sum(x * x for x in u.values))),
+        "positivity": dataclasses.asdict(positivity),
+        "norm": math.hypot(*u.values),
         "passed": passed,
     }

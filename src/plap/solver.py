@@ -87,7 +87,7 @@ Constraint = Ball | Annulus | None
 def _project(constraint: Constraint, v: np.ndarray) -> np.ndarray:
     if constraint is None:
         return v
-    nv = float(np.linalg.norm(v))
+    nv = math.sqrt(v.dot(v))
     if isinstance(constraint, Ball):
         if nv <= constraint.radius:
             return v
@@ -106,7 +106,7 @@ def _project(constraint: Constraint, v: np.ndarray) -> np.ndarray:
 def _feasible(constraint: Constraint, v: np.ndarray, tol: float = 1e-9) -> bool:
     if constraint is None:
         return True
-    nv = float(np.linalg.norm(v))
+    nv = math.sqrt(v.dot(v))
     if isinstance(constraint, Ball):
         return nv <= constraint.radius * (1 + tol) + tol
     return constraint.zeta * (1 - tol) - tol <= nv <= constraint.gamma * (1 + tol) + tol
@@ -148,7 +148,7 @@ def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
         res_orig = residual_original(spec, u)
     return CriticalPoint(
         u=u, value=value, residual_inf=residual, kind=kind,
-        positive_on_S=bool(np.all(ui > 0.0)), norm=float(np.linalg.norm(ui)),
+        positive_on_S=bool(np.all(ui > 0.0)), norm=math.sqrt(ui.dot(ui)),
         grad_inf=grad_inf, converged=converged, iterations=iterations,
         residual_orig=res_orig,
     )
@@ -156,8 +156,8 @@ def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
 
 def _residual_measure(constraint: Constraint, v: np.ndarray, g: np.ndarray) -> float:
     if constraint is None:
-        return float(np.max(np.abs(g)))
-    return float(np.max(np.abs(v - _project(constraint, v - g))))
+        return float(np.abs(g).max())
+    return float(np.abs(v - _project(constraint, v - g)).max())
 
 
 def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = None,
@@ -179,7 +179,7 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
     v = u0.interior().copy()
     if not _feasible(constraint, v):
         raise InfeasibleStart(
-            f"start with norm {np.linalg.norm(v):.6g} violates {constraint}"
+            f"start with norm {math.sqrt(v.dot(v)):.6g} violates {constraint}"
         )
     v = _project(constraint, v)
     J = _J(spec, v)
@@ -203,7 +203,7 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
             since_improved += 1
             if since_improved >= 300:
                 break  # residual plateaued far above the tolerance
-        if float(np.max(np.abs(v))) > _NORM_BLOWUP or not math.isfinite(J):
+        if float(np.abs(v).max()) > _NORM_BLOWUP or not math.isfinite(J):
             break
         trial = last_step
         if prev_v is not None:
@@ -245,14 +245,14 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
         it += 1
     residual = _residual_measure(constraint, v, g)
     converged = converged or residual <= opts.grad_tol
-    grad_inf = float(np.max(np.abs(g)))
+    grad_inf = float(np.abs(g).max())
     return _as_point(spec, v, J, residual, "Minimizer", converged, it, grad_inf)
 
 
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         d = rng.standard_normal(n)
-        nd = float(np.linalg.norm(d))
+        nd = math.sqrt(d.dot(d))
         if nd > 1e-12:
             return d / nd
 
@@ -312,7 +312,7 @@ def _minres(hess, b: np.ndarray, max_iter: int) -> np.ndarray:
     """MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12, 1975) for hess(x)
     = b, hess symmetric and possibly indefinite, to relative residual 1e-10."""
     x = w = w2 = np.zeros_like(b)
-    beta1 = float(np.linalg.norm(b))
+    beta1 = math.sqrt(b.dot(b))
     r1 = r2 = y = b
     oldb, beta, dbar, epsln, phibar, cs, sn = 0.0, beta1, 0.0, 0.0, beta1, -1.0, 0.0
     for k in range(max_iter):
@@ -323,7 +323,7 @@ def _minres(hess, b: np.ndarray, max_iter: int) -> np.ndarray:
         alpha = float(np.dot(v, y))
         y = y - (alpha / beta) * r2
         r1, r2 = r2, y
-        oldb, beta = beta, float(np.linalg.norm(y))
+        oldb, beta = beta, math.sqrt(y.dot(y))
         # apply the previous Givens rotation, then eliminate the new beta
         delta, gbar = cs * dbar + sn * alpha, sn * dbar - cs * alpha
         oldeps, epsln, dbar = epsln, sn * beta, -cs * beta
@@ -342,11 +342,11 @@ def _newton(spec: ProblemSpec, v: np.ndarray, g: np.ndarray, grad_tol: float
     """Newton steps from v, each solved by MINRES on the exact Hessian
     product; a step is kept only when it halves the gradient sup-norm."""
     steps = 0
-    g_inf = float(np.max(np.abs(g)))
+    g_inf = float(np.abs(g).max())
     while steps < _NEWTON_STEPS and g_inf > grad_tol:
         cand = v + _minres(_hessian(spec, v), -g, min(2 * v.size, _MINRES_ITER))
         gc = _interior_grad(spec, cand)
-        gc_inf = float(np.max(np.abs(gc)))
+        gc_inf = float(np.abs(gc).max())
         if not gc_inf <= 0.5 * g_inf:
             break
         v, g, g_inf = cand, gc, gc_inf
@@ -384,7 +384,8 @@ def _peak(spec: ProblemSpec, base: np.ndarray, v: np.ndarray, s: float
             lo, dlo, dhi, side = t, d, dhi * (0.5 if side > 0 else 1.0), 1
         else:
             hi, dhi, dlo, side = t, d, dlo * (0.5 if side < 0 else 1.0), -1
-        if hi - lo <= 1e-12 * hi or abs(d) <= 1e-3 * float(np.linalg.norm(g - d * v)):
+        r = g - d * v
+        if hi - lo <= 1e-12 * hi or abs(d) <= 1e-3 * math.sqrt(r.dot(r)):
             break
     return t, w, g
 
@@ -408,11 +409,11 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     opts = opts or SolverOptions()
     base = u0.interior().copy()
     v = u1.interior() - base
-    s = float(np.linalg.norm(v))
+    s = math.sqrt(v.dot(v))
     if s == 0.0:
         raise DomainError("the start direction u1 - u0 is zero")
     v = v / s
-    g_first = float(np.max(np.abs(_interior_grad(spec, u1.interior()))))
+    g_first = float(np.abs(_interior_grad(spec, u1.interior())).max())
     peak = _peak(spec, base, v, s)
     if peak is None:
         raise ScanExhausted(f"no peak of J along the start ray within {_SCAN_STEPS} doublings")
@@ -421,7 +422,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     alpha = _INIT_STEP
     prev: tuple[np.ndarray, np.ndarray] | None = None
     it = 0
-    while it < _LMM_STEPS and float(np.max(np.abs(g))) > 1e-4 * g_first:
+    while it < _LMM_STEPS and float(np.abs(g).max()) > 1e-4 * g_first:
         g_perp = g - float(np.dot(g, v)) * v
         gp2 = float(np.dot(g_perp, g_perp))
         if prev is not None:
@@ -431,7 +432,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
                 alpha = min(max(float(np.dot(dw, dw)) / sy, _BB_LO), _BB_HI)
         for _ in range(_LMM_BACKTRACKS):
             trial = v - (alpha / s) * g_perp
-            trial /= float(np.linalg.norm(trial))
+            trial /= math.sqrt(trial.dot(trial))
             peak = _peak(spec, base, trial, s)
             if peak is not None:
                 Jc = _J(spec, peak[1])
@@ -446,7 +447,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
         it += 1
     w, g, steps = _newton(spec, w, g, opts.grad_tol)
     J = _J(spec, w) if steps else J
-    g_inf = float(np.max(np.abs(g)))
+    g_inf = float(np.abs(g).max())
     converged = g_inf <= opts.grad_tol and (barrier is None or J >= barrier)
     return _as_point(spec, w, J, g_inf, "Saddle", converged, it + steps, g_inf)
 
@@ -460,7 +461,7 @@ def kkt_multipliers(spec: ProblemSpec, u: DirichletFunction, zeta: float, gamma:
     the open annulus; complementary slackness holds by construction.
     """
     ui = u.interior()
-    nu = float(np.linalg.norm(ui))
+    nu = math.sqrt(ui.dot(ui))
     tol = 1e-8
     if not (zeta - tol * (1 + zeta) <= nu <= gamma + tol * (1 + gamma)):
         raise InfeasiblePoint(f"||u|| = {nu:.9g} outside [{zeta:.6g}, {gamma:.6g}]")
@@ -535,7 +536,7 @@ def _dedupe(points: list[CriticalPoint]) -> list[CriticalPoint]:
         dup = False
         for other in kept:
             scale = 1.0 + max(pt.norm, other.norm)
-            if float(np.max(np.abs(pt.u.values - other.u.values))) <= 1e-7 * scale:
+            if float(np.abs(pt.u.values - other.u.values).max()) <= 1e-7 * scale:
                 dup = True
                 break
         if not dup:
@@ -652,7 +653,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
                 g = _interior_grad(spec, best_ann.u.interior())
                 stat = g + (sigma - theta) * best_ann.u.interior()
                 kkt_info = KKTInfo(sigma, theta, 1.0, best_ann.norm,
-                                   float(np.max(np.abs(stat))))
+                                   float(np.abs(stat).max()))
                 if sigma > 0.0:
                     notes.append(
                         f"annulus minimizer sits on the outer sphere (sigma = {sigma:.6g})"

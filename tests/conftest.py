@@ -24,6 +24,8 @@ from plap import (
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(plap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
 )
+# They also follow the suite's warning policy (`filterwarnings` in pyproject.toml).
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 def make_path_graph(w=1.0):

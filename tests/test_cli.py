@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -140,6 +141,40 @@ def test_float_format_round_trips():
         assert float(json.loads(s)) == float(v)
 
 
+@pytest.mark.parametrize("x", [-0.0, 1e16, 5.5e16])
+def test_dumps_float_reads_back_as_the_same_float(x):
+    # -0.0 keeps its sign, and a float from 1e16 up is not written as a JSON integer.
+    back = json.loads(dumps({"x": x}))["x"]
+    assert type(back) is float
+    assert math.copysign(1.0, back) == math.copysign(1.0, x) and back == x
+
+
+def test_non_finite_floats_are_written_as_null():
+    nan, inf = float("nan"), float("inf")
+    doc = {"a": nan, "b": [inf, -inf, 1.0], "c": {"d": (nan,)}}
+    assert json.loads(dumps(doc)) == {"a": None, "b": [None, None, 1.0], "c": {"d": [None]}}
+    assert [format_float(x) for x in (nan, inf, -inf)] == ["null"] * 3
+
+
+def _reject_constant(token):
+    raise AssertionError(f"{token} in a report")
+
+
+@pytest.mark.parametrize("name", ["cubic_path.json", "linear_path.json",
+                                  "triangle_pendant.json", "triangle_pendant_steep.json"])
+def test_fixture_reports_have_no_non_finite_tokens(capsys, tmp_path, name):
+    path = str(fixture_path(name))
+    code, solved, _ = run_cli(["solve", path, "--seed", "0"], capsys)
+    assert code == 0
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"u": json.loads(solved)["solutions"][0]["values"]}))
+    outs = [solved] + [run_cli(args, capsys)[1] for args in
+                       (["validate", path], ["bounds", path],
+                        ["certify", path, "--solution", str(sol)])]
+    for out in outs:
+        json.loads(out, parse_constant=_reject_constant)
+
+
 # -- commands -----------------------------------------------------------------
 
 def test_validate_command(capsys):
@@ -235,6 +270,15 @@ def test_certify_reports_nonzero_boundary_as_failed(capsys, tmp_path):
     assert doc["positivity"]["boundary_zero"] is False
     assert doc["passed"] is False
     assert doc["residual_original"] > 0.1  # the boundary value enters the operator
+
+
+def test_certify_norm_does_not_overflow(capsys, tmp_path):
+    # The norm 1e300 is a double, though the sum of squares behind it is not.
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"u": {"v1": 1e300}}))
+    code, out, _ = run_cli(["certify", cubic_file(), "--solution", str(sol)], capsys)
+    assert code == 4
+    assert json.loads(out)["norm"] == 1e300
 
 
 def test_certify_rejects_unknown_vertex(capsys, tmp_path):

@@ -132,7 +132,10 @@ class LambdaThresholds:
         S, dS = c.n_interior, c.n_boundary
         num = 2.0 * lam * (c.phi1_min / c.m1_plus + c.psi1_min) * c.p_minus
         den = c.max_weight * (2 * S + dS - 1) + 2.0 * c.q_plus
-        return min(1.0, (num / den) ** (1.0 / (c.p_minus - c.m1_plus)))
+        try:
+            return min(1.0, (num / den) ** (1.0 / (c.p_minus - c.m1_plus)))
+        except (OverflowError, ZeroDivisionError):  # the power is +inf
+            return 1.0
 
     def sphere_lower_bound(self, lam: float) -> float:
         """Lower bound of J over the sphere ||u|| = rho, rho = |Sbar|^(-1/2).
@@ -154,11 +157,10 @@ class LambdaThresholds:
         return scale * (self.lambda2 - lam)
 
 
-def lambda_thresholds(c: InstanceConstants, gamma: float | None = None) -> LambdaThresholds:
+def lambda_thresholds(c: InstanceConstants) -> LambdaThresholds:
     """Compute lambda1, lambda2, gamma0 and the omega radius.
 
-    Raises DomainError when the instance has no growth envelope, and
-    GammaTooSmall when a gamma <= gamma0 is supplied.
+    Raises DomainError when the instance has no growth envelope.
     """
     if not c.has_envelope:
         raise DomainError("thresholds need a growth envelope on the nonlinearity")
@@ -170,13 +172,10 @@ def lambda_thresholds(c: InstanceConstants, gamma: float | None = None) -> Lambd
         * Sbar ** (1.0 - pp) * Sbar ** (-pp / 2.0) \
         / ((c.phi2_max / c.m2_minus * Sbar ** (-c.m2_minus / 2.0) + c.psi2_max) * S)
     gamma0 = math.sqrt(2.0) * math.sqrt(dS) * Sbar
-    th = LambdaThresholds(
+    return LambdaThresholds(
         lambda1=lambda1, lambda2=lambda2, gamma0=gamma0,
         omega_radius=Sbar ** (-0.5), constants=c,
     )
-    if gamma is not None and gamma <= gamma0:
-        raise GammaTooSmall(f"gamma = {gamma:g} must exceed gamma0 = {gamma0:.6g}")
-    return th
 
 
 class RegimeTag(str, Enum):
@@ -271,9 +270,9 @@ def uniqueness_certificate(spec: ProblemSpec) -> UniquenessCertificate:
     if type(f) is not PowerPlus:
         return UniquenessCertificate(
             False, f"nonlinearity kind {f.kind} has no closed-form monotonicity test")
-    if spec.p.pbar_minus != spec.p.pbar_plus:
+    if spec.p.values.min() != spec.p.values.max():
         return UniquenessCertificate(False, "p is not constant on S-bar")
-    p = spec.p.pbar_plus
+    p = float(spec.p.values[0])
     k = int(np.argmax(f.m))
     if f.m[k] > p:
         return UniquenessCertificate(
@@ -305,9 +304,9 @@ def ball_convexity_certificate(spec: ProblemSpec, radius: float) -> UniquenessCe
     if type(f) is not PowerPlus:
         return UniquenessCertificate(
             False, f"nonlinearity kind {f.kind} has no closed-form bound on the slope of f")
-    if spec.p.pbar_minus != spec.p.pbar_plus:
+    if spec.p.values.min() != spec.p.values.max():
         return UniquenessCertificate(False, "p is not constant on S-bar")
-    p = spec.p.pbar_plus
+    p = float(spec.p.values[0])
     if p != 2.0:
         return UniquenessCertificate(
             False, f"p = {p:g} is not 2: the Hessian of J degenerates at u = 0")

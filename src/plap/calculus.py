@@ -159,8 +159,9 @@ def green_pairing(
 
 
 def norm(u: VertexFunction) -> float:
-    """Euclidean norm (sqrt of the summed squares over all vertices)."""
-    return float(np.sqrt(np.sum(_as_values(u) ** 2)))
+    """Euclidean norm over all vertices; finite whenever the norm is a double,
+    though the sum of squares behind it may not be."""
+    return math.hypot(*_as_values(u))
 
 
 def norm_and_parts(u: DirichletFunction) -> tuple[float, DirichletFunction, DirichletFunction]:

@@ -28,7 +28,8 @@ column sums of c_k (x(r)-x(c)) over the ordered pairs k = (r, c), with
 c_k = (p(r)-1) |u(r)-u(c)|^(p(r)-2) w_k, plus the diagonal
 q (p-1) |u|^(p-2) - lambda d_t f(u_plus) times x; d_t f is 0 where u < 0,
 where the source is linear.  ``EvaluationKernel`` holds these formulas once
-per instance, and every public function below reads it.
+per instance, with J at every single-vertex spike t e_i; every public
+function below and every solver routine reads it.
 """
 
 from __future__ import annotations
@@ -139,6 +140,18 @@ class EvaluationKernel:
                     + diag * x
 
         return product
+
+    def spike_energies(self, t: float, F0: np.ndarray) -> np.ndarray:
+        """J(t e_i) for every interior i at once, F0 the primitive at zero:
+        the edge term of the pairs at row i or column i, the potential and
+        source at i, and F_j(0) elsewhere."""
+        n, nv = self.n, self.n_vertices
+        a = t ** self.p_rows / self.p_rows * self.w
+        dirichlet = 0.5 * (np.bincount(self.rows, a, nv)[:n]
+                           + np.bincount(self.cols, a, nv)[:n])
+        potential = t ** self.p_int / self.p_int * self.q
+        Ft = self.f.primitive_vector(np.full(n, t))
+        return dirichlet + potential - self.lam * (F0.sum() - F0 + Ft)
 
 
 @dataclass(frozen=True)

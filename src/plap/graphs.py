@@ -155,31 +155,32 @@ def build_graph(
     """Build and fully validate a graph from vertex lists and weighted edges.
 
     Raises DuplicateVertex, OverlappingSets, EmptySet, UnknownEndpoint,
-    SelfLoop, NonPositiveWeight or Disconnected on bad input.
+    SelfLoop, NonPositiveWeight or Disconnected on bad input.  The edge list
+    is checked as a whole: any unknown endpoint is reported before any
+    self-loop, and any self-loop before any weight that is not finite and
+    positive.
     """
     _check_labels(interior, boundary)
     labels = tuple(interior) + tuple(boundary)
     index = {v: i for i, v in enumerate(labels)}
-    heads: list[int] = []
-    tails: list[int] = []
-    ws: list[float] = []
-    for a, b, w in edges:
-        if a not in index:
-            raise UnknownEndpoint(f"edge endpoint {a!r} is not a declared vertex")
-        if b not in index:
-            raise UnknownEndpoint(f"edge endpoint {b!r} is not a declared vertex")
-        if a == b:
-            raise SelfLoop(f"self-edge at {a!r}")
-        w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeight(f"edge ({a!r}, {b!r}) has weight {w}, need > 0")
-        heads.append(index[a])
-        tails.append(index[b])
-        ws.append(w)
-    rows = np.array(heads + tails, dtype=np.int64)
-    cols = np.array(tails + heads, dtype=np.int64)
+    edges = list(edges)
+    try:
+        ends = np.array([index[x] for a, b, _ in edges for x in (a, b)], dtype=np.int64)
+    except KeyError as exc:
+        raise UnknownEndpoint(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
+    heads, tails = ends[0::2], ends[1::2]
+    loops = np.flatnonzero(heads == tails)
+    if loops.size:
+        raise SelfLoop(f"self-edge at {edges[loops[0]][0]!r}")
+    ws = np.array([float(w) for _, _, w in edges])
+    bad = np.flatnonzero(~np.isfinite(ws) | (ws <= 0.0))
+    if bad.size:
+        a, b, _ = edges[bad[0]]
+        raise NonPositiveWeight(f"edge ({a!r}, {b!r}) has weight {float(ws[bad[0]])}, need > 0")
+    rows = np.concatenate((heads, tails))
+    cols = np.concatenate((tails, heads))
     order = np.lexsort((cols, rows))
-    pairs = (rows[order], cols[order], np.array(ws + ws)[order])
+    pairs = (rows[order], cols[order], np.concatenate((ws, ws))[order])
     repeated = np.flatnonzero(np.diff(pairs[0] * len(labels) + pairs[1]) == 0)
     if repeated.size:
         r, c = pairs[0][repeated[0]], pairs[1][repeated[0]]

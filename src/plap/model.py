@@ -44,7 +44,7 @@ def _vertex_array(
 
 @dataclass(frozen=True, eq=False)
 class ExponentField:
-    """p: vertex -> [2, inf).  Extrema are cached over S and over all of S-bar."""
+    """p: vertex -> [2, inf), read-only, in vertex order (interior first)."""
 
     graph: Graph
     values: np.ndarray
@@ -62,22 +62,6 @@ class ExponentField:
     @classmethod
     def constant(cls, graph: Graph, p: float) -> "ExponentField":
         return cls(graph, np.full(graph.n_vertices, float(p)))
-
-    @property
-    def p_minus(self) -> float:
-        return float(self.values[: self.graph.n_interior].min())
-
-    @property
-    def p_plus(self) -> float:
-        return float(self.values[: self.graph.n_interior].max())
-
-    @property
-    def pbar_minus(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def pbar_plus(self) -> float:
-        return float(self.values.max())
 
     def interior(self) -> np.ndarray:
         return self.values[: self.graph.n_interior]
@@ -103,14 +87,6 @@ class Potential:
     @classmethod
     def constant(cls, graph: Graph, q: float) -> "Potential":
         return cls(graph, np.full(graph.n_interior, float(q)))
-
-    @property
-    def q_minus(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def q_plus(self) -> float:
-        return float(self.values.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,14 +311,9 @@ class EnvelopeReport:
         return not self.violations
 
 
-def default_envelope_grid(scale: float = 1.0, points: int = 512) -> np.ndarray:
-    grid = np.linspace(0.0, 10.0 * (1.0 + scale), points)
-    grid[0] = 0.0
-    return grid
-
-
 def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
-    """Verify the declared growth envelope of ``n`` on a nonnegative grid.
+    """Verify the declared growth envelope of ``n`` on a nonnegative grid
+    (512 points on [0, 20] by default).
 
     The pointwise bounds on f are checked at every grid point; the integrated
     bounds on F (which follow from the pointwise ones) are spot-checked on a
@@ -352,7 +323,7 @@ def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
     if n.envelope is None:
         raise DomainError("nonlinearity declares no growth envelope")
     env = n.envelope
-    grid = default_envelope_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = np.linspace(0.0, 20.0, 512) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("empty grid")
     if np.any(grid < 0):
@@ -438,7 +409,7 @@ class InstanceConstants:
 
 def instance_constants(spec: ProblemSpec) -> InstanceConstants:
     """Collect cardinalities, weight/exponent/potential/envelope extrema."""
-    g, p, q, env = spec.graph, spec.p, spec.q, spec.f.envelope
+    g, p, q, env = spec.graph, spec.p, spec.q.values, spec.f.envelope
     kw = {}
     if env is not None:
         kw = dict(
@@ -450,8 +421,8 @@ def instance_constants(spec: ProblemSpec) -> InstanceConstants:
     return InstanceConstants(
         n_interior=g.n_interior, n_boundary=g.n_boundary, n_vertices=g.n_vertices,
         max_weight=g.max_weight(),
-        p_minus=p.p_minus, p_plus=p.p_plus,
-        pbar_minus=p.pbar_minus, pbar_plus=p.pbar_plus,
-        q_minus=q.q_minus, q_plus=q.q_plus,
+        p_minus=float(p.interior().min()), p_plus=float(p.interior().max()),
+        pbar_minus=float(p.values.min()), pbar_plus=float(p.values.max()),
+        q_minus=float(q.min()), q_plus=float(q.max()),
         **kw,
     )

@@ -16,7 +16,7 @@ from typing import Any
 
 from . import __version__
 from .bounds import LambdaThresholds
-from .calculus import VertexFunction
+from .calculus import VertexFunction, norm
 from .errors import DegenerateExponent, GammaTooSmall
 from .model import InstanceConstants, ProblemSpec, instance_constants
 from .solver import CriticalPoint, PositivityReport, SolveReport
@@ -147,6 +147,6 @@ def certificate_document(u: VertexFunction, residual: float | None,
         "tolerance": tol,
         "residual_original": residual,
         "positivity": dataclasses.asdict(positivity),
-        "norm": math.hypot(*u.values),
+        "norm": norm(u),
         "passed": passed,
     }

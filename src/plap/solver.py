@@ -126,18 +126,6 @@ class CriticalPoint:
     residual_orig: float | None = None
 
 
-def _interior_grad(spec: ProblemSpec, vals_int: np.ndarray) -> np.ndarray:
-    return spec._kernel.gradient(vals_int)
-
-
-def _J(spec: ProblemSpec, vals_int: np.ndarray) -> float:
-    return spec._kernel.energy(vals_int)
-
-
-def _hessian(spec: ProblemSpec, vals_int: np.ndarray):
-    return spec._kernel.hessian(vals_int)
-
-
 def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
               residual: float, kind: str, converged: bool, iterations: int,
               grad_inf: float) -> CriticalPoint:
@@ -158,6 +146,15 @@ def _residual_measure(constraint: Constraint, v: np.ndarray, g: np.ndarray) -> f
     if constraint is None:
         return float(np.abs(g).max())
     return float(np.abs(v - _project(constraint, v - g)).max())
+
+
+def _bb_step(s: np.ndarray, y: np.ndarray, default: float) -> float:
+    """The Barzilai-Borwein step <s, s>/<s, y> clamped to [_BB_LO, _BB_HI],
+    or ``default`` when <s, y> <= 0."""
+    sy = float(np.dot(s, y))
+    if sy > 0.0:
+        return min(max(float(np.dot(s, s)) / sy, _BB_LO), _BB_HI)
+    return default
 
 
 def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = None,
@@ -182,8 +179,8 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
             f"start with norm {math.sqrt(v.dot(v)):.6g} violates {constraint}"
         )
     v = _project(constraint, v)
-    J = _J(spec, v)
-    g = _interior_grad(spec, v)
+    J = spec._kernel.energy(v)
+    g = spec._kernel.gradient(v)
     prev_v: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     converged = False
@@ -205,13 +202,7 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
                 break  # residual plateaued far above the tolerance
         if float(np.abs(v).max()) > _NORM_BLOWUP or not math.isfinite(J):
             break
-        trial = last_step
-        if prev_v is not None:
-            s = v - prev_v
-            y = g - prev_g
-            sy = float(np.dot(s, y))
-            if sy > 0.0:
-                trial = min(max(float(np.dot(s, s)) / sy, _BB_LO), _BB_HI)
+        trial = last_step if prev_v is None else _bb_step(v - prev_v, g - prev_g, last_step)
         accepted = False
         new_g = None
         floor = 32.0 * np.finfo(float).eps * (1.0 + abs(J))
@@ -224,13 +215,13 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
             nd2 = float(np.dot(delta, delta))
             if nd2 == 0.0:
                 break  # displacement below representable resolution
-            Jc = _J(spec, cand)
+            Jc = spec._kernel.energy(cand)
             if math.isfinite(Jc) and Jc <= J - (_ARMIJO_C / step) * nd2:
                 accepted = True
                 break
             if abs(Jc - J) <= floor:
                 # J cannot resolve the decrease; judge it by the slope.
-                gc = _interior_grad(spec, cand)
+                gc = spec._kernel.gradient(cand)
                 if np.dot(gc, delta) <= (2.0 * _WOLFE_DELTA - 1.0) * np.dot(g, delta):
                     accepted = True
                     new_g = gc
@@ -241,7 +232,7 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
         last_step = max(step, _BB_LO)
         prev_v, prev_g = v, g
         v, J = cand, Jc
-        g = new_g if new_g is not None else _interior_grad(spec, v)
+        g = new_g if new_g is not None else spec._kernel.gradient(v)
         it += 1
     residual = _residual_measure(constraint, v, g)
     converged = converged or residual <= opts.grad_tol
@@ -255,22 +246,6 @@ def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
         nd = math.sqrt(d.dot(d))
         if nd > 1e-12:
             return d / nd
-
-
-def _spike_energies(spec: ProblemSpec, t: float, F0: np.ndarray) -> np.ndarray:
-    # J(t e_i) for every interior i at once: the edge term of the pairs at
-    # row i or column i, the potential and source at i, and F_j(0) elsewhere.
-    g = spec.graph
-    rows, cols, w = g.ordered_pairs
-    p_rows = spec._kernel.p_rows
-    a = t ** p_rows / p_rows * w
-    n = g.n_interior
-    dirichlet = 0.5 * (np.bincount(rows, a, g.n_vertices)[:n]
-                       + np.bincount(cols, a, g.n_vertices)[:n])
-    pi = spec.p.interior()
-    potential = t ** pi / pi * spec.q.values
-    Ft = spec.f.primitive_vector(np.full(n, t))
-    return dirichlet + potential - spec.lam * (F0.sum() - F0 + Ft)
 
 
 def spike_point(spec: ProblemSpec) -> DirichletFunction:
@@ -291,7 +266,7 @@ def spike_point(spec: ProblemSpec) -> DirichletFunction:
     best: tuple[float, float] | None = None
     F0 = spec.f.primitive_vector(np.zeros(n))
     for _ in range(200):
-        vals = _spike_energies(spec, t, F0)
+        vals = spec._kernel.spike_energies(t, F0)
         i_best = int(np.argmin(vals))
         if vals[i_best] < 0.0:
             v = np.zeros(n)
@@ -344,8 +319,8 @@ def _newton(spec: ProblemSpec, v: np.ndarray, g: np.ndarray, grad_tol: float
     steps = 0
     g_inf = float(np.abs(g).max())
     while steps < _NEWTON_STEPS and g_inf > grad_tol:
-        cand = v + _minres(_hessian(spec, v), -g, min(2 * v.size, _MINRES_ITER))
-        gc = _interior_grad(spec, cand)
+        cand = v + _minres(spec._kernel.hessian(v), -g, min(2 * v.size, _MINRES_ITER))
+        gc = spec._kernel.gradient(cand)
         gc_inf = float(np.abs(gc).max())
         if not gc_inf <= 0.5 * g_inf:
             break
@@ -361,7 +336,7 @@ def _peak(spec: ProblemSpec, base: np.ndarray, v: np.ndarray, s: float
     solved by Illinois regula falsi.  None when no sign change is found."""
     def slope(t: float) -> tuple[float, np.ndarray, np.ndarray]:
         w = base + t * v
-        g = _interior_grad(spec, w)
+        g = spec._kernel.gradient(w)
         return float(np.dot(g, v)), w, g
 
     dt = slope(s)[0]
@@ -413,12 +388,12 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     if s == 0.0:
         raise DomainError("the start direction u1 - u0 is zero")
     v = v / s
-    g_first = float(np.abs(_interior_grad(spec, u1.interior())).max())
+    g_first = float(np.abs(spec._kernel.gradient(u1.interior())).max())
     peak = _peak(spec, base, v, s)
     if peak is None:
         raise ScanExhausted(f"no peak of J along the start ray within {_SCAN_STEPS} doublings")
     s, w, g = peak
-    J = _J(spec, w)
+    J = spec._kernel.energy(w)
     alpha = _INIT_STEP
     prev: tuple[np.ndarray, np.ndarray] | None = None
     it = 0
@@ -426,16 +401,13 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
         g_perp = g - float(np.dot(g, v)) * v
         gp2 = float(np.dot(g_perp, g_perp))
         if prev is not None:
-            dw, dg = w - prev[0], g_perp - prev[1]
-            sy = float(np.dot(dw, dg))
-            if sy > 0.0:
-                alpha = min(max(float(np.dot(dw, dw)) / sy, _BB_LO), _BB_HI)
+            alpha = _bb_step(w - prev[0], g_perp - prev[1], alpha)
         for _ in range(_LMM_BACKTRACKS):
             trial = v - (alpha / s) * g_perp
             trial /= math.sqrt(trial.dot(trial))
             peak = _peak(spec, base, trial, s)
             if peak is not None:
-                Jc = _J(spec, peak[1])
+                Jc = spec._kernel.energy(peak[1])
                 if Jc < J - _ARMIJO_C * alpha * gp2:
                     break
             alpha *= _BACKTRACK
@@ -446,7 +418,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
         (s, w, g), J = peak, Jc
         it += 1
     w, g, steps = _newton(spec, w, g, opts.grad_tol)
-    J = _J(spec, w) if steps else J
+    J = spec._kernel.energy(w) if steps else J
     g_inf = float(np.abs(g).max())
     converged = g_inf <= opts.grad_tol and (barrier is None or J >= barrier)
     return _as_point(spec, w, J, g_inf, "Saddle", converged, it + steps, g_inf)
@@ -465,7 +437,7 @@ def kkt_multipliers(spec: ProblemSpec, u: DirichletFunction, zeta: float, gamma:
     tol = 1e-8
     if not (zeta - tol * (1 + zeta) <= nu <= gamma + tol * (1 + gamma)):
         raise InfeasiblePoint(f"||u|| = {nu:.9g} outside [{zeta:.6g}, {gamma:.6g}]")
-    g = _interior_grad(spec, ui)
+    g = spec._kernel.gradient(ui)
     gu = float(np.dot(g, ui))
     sigma = theta = 0.0
     if abs(nu - gamma) <= tol * (1 + gamma):
@@ -650,7 +622,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             best_ann = min(ann_points, key=lambda pt: pt.value)
             try:
                 sigma, theta = kkt_multipliers(spec, best_ann.u, zeta, gamma)
-                g = _interior_grad(spec, best_ann.u.interior())
+                g = spec._kernel.gradient(best_ann.u.interior())
                 stat = g + (sigma - theta) * best_ann.u.interior()
                 kkt_info = KKTInfo(sigma, theta, 1.0, best_ann.norm,
                                    float(np.abs(stat).max()))

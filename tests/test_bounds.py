@@ -20,6 +20,7 @@ from plap import (
     instance_constants,
     lambda_thresholds,
     norm,
+    spike_point,
 )
 from plap.energy import gradient_values
 from plap.errors import DegenerateExponent, DomainError, GammaTooSmall
@@ -32,6 +33,7 @@ from conftest import (
     problem_specs,
     random_dirichlet,
     random_power_spec,
+    two_solution_grid,
 )
 
 ITEMS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
@@ -140,6 +142,30 @@ def test_t0_interior_branch():
     assert th.t0(0.05) == pytest.approx(min(1.0, (num / den) ** (1.0 / 3.0)), rel=1e-14)
 
 
+def test_t0_is_one_where_its_power_overflows():
+    # m1^+ just above p^- = 2 makes the exponent 1/(p^- - m1^+) = -50, and
+    # the closed-form power overflows a double: t0 = min(1, +inf) = 1.
+    base = two_solution_grid(12, 71, 0)
+    g = base.graph
+    f = PowerPlus(g, phi=1.0, m=2.02, psi=0.1)
+    probe = ProblemSpec(g, base.p, base.q, f, 1.0)
+    lam = 0.5 * lambda_thresholds(instance_constants(probe)).lambda2
+    spec = ProblemSpec(g, base.p, base.q, f, lam)
+    assert lambda_thresholds(instance_constants(spec)).t0(lam) == 1.0
+    # spike_point starts from the same t0
+    assert spike_point(spec).interior().max() > 0.0
+
+
+def test_t0_is_one_where_its_base_underflows():
+    # q = 1e300 against lambda = 1e-30: num / den underflows to 0.0, and 0.0
+    # to the negative power 1/(p^- - m1^+) is +inf: t0 = min(1, +inf) = 1.
+    g = make_path_graph()
+    spec = ProblemSpec(graph=g, p=ExponentField.constant(g, 2.0),
+                       q=Potential.constant(g, 1e300),
+                       f=PowerPlus(g, 1.0, 4.0, 0.1), lam=1e-30)
+    assert lambda_thresholds(instance_constants(spec)).t0(1e-30) == 1.0
+
+
 def test_triangle_gamma0():
     g = make_triangle_pendant_graph()
     spec = ProblemSpec(graph=g, p=ExponentField.constant(g, 2.0),
@@ -154,8 +180,6 @@ def test_gamma_too_small():
     th = lambda_thresholds(instance_constants(cubic_star_spec()))
     with pytest.raises(GammaTooSmall):
         th.lambda3(th.gamma0)
-    with pytest.raises(GammaTooSmall):
-        lambda_thresholds(instance_constants(cubic_star_spec()), gamma=1.0)
 
 
 def test_degenerate_exponent():

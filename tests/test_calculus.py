@@ -6,7 +6,10 @@ from plap import (
     ExponentField,
     VertexFunction,
     green_pairing,
+    fixture_path,
     integrate,
+    load_problem,
+    norm,
     norm_and_parts,
     p_gradient,
     p_laplacian,
@@ -155,6 +158,12 @@ def test_norm_and_parts_spike():
     assert n == 1.0
     assert np.array_equal(up.values, u.values)
     assert np.all(um.values == 0.0)
+
+
+def test_norm_does_not_overflow():
+    # The norm 1e200 is a double, though the sum of squares behind it is not.
+    g = load_problem(fixture_path("cubic_path.json")).spec.graph
+    assert norm(DirichletFunction.from_interior(g, [1e200])) == 1e200
 
 
 def test_norm_and_parts_mixed_signs():

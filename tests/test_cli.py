@@ -281,6 +281,19 @@ def test_certify_norm_does_not_overflow(capsys, tmp_path):
     assert json.loads(out)["norm"] == 1e300
 
 
+def test_t0_is_one_where_its_power_overflows(capsys, tmp_path):
+    # p = 2 against m = 2.0000001: the exponent 1/(p^- - m1^+) is -1e7, and
+    # the closed-form power overflows a double; t0 = min(1, +inf) = 1.
+    doc = json.loads(fixture_path("cubic_path.json").read_text())
+    doc["nonlinearity"]["parameters"]["m"] = 2.0000001
+    path = tmp_path / "near_degenerate.json"
+    path.write_text(json.dumps(doc))
+    for command in ("bounds", "solve"):
+        code, out, _ = run_cli([command, str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["thresholds"]["t0"] == 1.0
+
+
 def test_certify_rejects_unknown_vertex(capsys, tmp_path):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"u": {"v1": 0.3, "zz": 1.0}}))

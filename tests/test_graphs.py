@@ -76,6 +76,34 @@ def test_unknown_endpoint_rejected():
         build_graph(["a"], ["b"], [("a", "zz", 1.0)])
 
 
+@pytest.mark.parametrize("edges, error, message", [
+    ([("zz", "b", 1.0)], UnknownEndpoint, "edge endpoint 'zz' is not a declared vertex"),
+    ([("a", "zz", 1.0)], UnknownEndpoint, "edge endpoint 'zz' is not a declared vertex"),
+    ([("a", "a", 1.0), ("a", "b", 1.0)], SelfLoop, "self-edge at 'a'"),
+    ([("a", "b", 0.0)], NonPositiveWeight, "edge ('a', 'b') has weight 0.0, need > 0"),
+    ([("a", "b", -0.5)], NonPositiveWeight, "edge ('a', 'b') has weight -0.5, need > 0"),
+    ([("a", "b", float("nan"))], NonPositiveWeight, "edge ('a', 'b') has weight nan, need > 0"),
+    ([("a", "b", float("inf"))], NonPositiveWeight, "edge ('a', 'b') has weight inf, need > 0"),
+    ([("a", "b", 1.0), ("b", "a", 2.0)], DuplicateVertex, "duplicate edge ('a', 'b')"),
+], ids=["unknown-head", "unknown-tail", "self-loop", "weight-0", "weight-negative",
+        "weight-nan", "weight-inf", "duplicate-edge"])
+def test_each_single_fault_raises_its_exact_message(edges, error, message):
+    with pytest.raises(error) as info:
+        build_graph(["a"], ["b"], edges)
+    assert str(info.value) == message
+
+
+def test_edges_from_a_generator_build_the_same_pairs_as_a_list():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        interior, boundary, edges = random_graph_input(rng)
+        listed = build_graph(interior, boundary, edges).ordered_pairs
+        generated = build_graph(interior, boundary, (e for e in edges)).ordered_pairs
+        for x, y in zip(listed, generated):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert not y.flags.writeable
+
+
 def test_duplicate_vertex_rejected():
     with pytest.raises(DuplicateVertex):
         build_graph(["a", "a"], ["b"], [("a", "b", 1.0)])

@@ -32,10 +32,12 @@ def triangle_fields(graph, m_of_i):
 def test_exponent_field_extrema():
     g = make_triangle_pendant_graph()
     p = ExponentField(g, {f"x{i}": float(i + 3) for i in range(1, 7)})
-    assert p.p_minus == 4.0
-    assert p.p_plus == 6.0
-    assert p.pbar_minus == 4.0
-    assert p.pbar_plus == 9.0
+    f = PowerPlus(g, phi=1.0, m=2.0, psi=1.0)
+    c = instance_constants(ProblemSpec(g, p, Potential.constant(g, 1.0), f, 1.0))
+    assert c.p_minus == 4.0
+    assert c.p_plus == 6.0
+    assert c.pbar_minus == 4.0
+    assert c.pbar_plus == 9.0
 
 
 def test_exponent_field_rejects_small_values():

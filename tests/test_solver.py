@@ -27,6 +27,7 @@ from plap import (
     spike_point,
     verify_positive,
 )
+from plap.energy import EvaluationKernel
 from plap.errors import DomainError, InfeasiblePoint, InfeasibleStart, ScanExhausted
 
 from conftest import (
@@ -205,9 +206,9 @@ def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monke
     search = plap.solver.mountain_pass
 
     def counting(fn, key):
-        def wrapped(spec_, v):
+        def wrapped(kernel, v):
             counts[key] += active[0]
-            return fn(spec_, v)
+            return fn(kernel, v)
         return wrapped
 
     def traced_search(*args, **kwargs):
@@ -218,20 +219,20 @@ def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monke
             active[0] = False
         return points[-1]
 
-    monkeypatch.setattr(plap.solver, "_J", counting(plap.solver._J, "J"))
-    monkeypatch.setattr(plap.solver, "_interior_grad",
-                        counting(plap.solver._interior_grad, "grad"))
-    hessian = plap.solver._hessian
+    monkeypatch.setattr(EvaluationKernel, "energy", counting(EvaluationKernel.energy, "J"))
+    monkeypatch.setattr(EvaluationKernel, "gradient",
+                        counting(EvaluationKernel.gradient, "grad"))
+    hessian = EvaluationKernel.hessian
 
-    def counting_hessian(spec_, v):
-        product = hessian(spec_, v)
+    def counting_hessian(kernel, v):
+        product = hessian(kernel, v)
 
         def counted(x):
             counts["hess"] += active[0]
             return product(x)
         return counted
 
-    monkeypatch.setattr(plap.solver, "_hessian", counting_hessian)
+    monkeypatch.setattr(EvaluationKernel, "hessian", counting_hessian)
     monkeypatch.setattr(plap.solver, "mountain_pass", traced_search)
     rep = solve(spec)
     [point] = points
@@ -249,29 +250,23 @@ def test_kkt_interior_point():
     assert sigma == 0.0 and theta == 0.0
 
 
-def test_kkt_outer_sphere_antiparallel_gradient():
+def test_kkt_outer_sphere_antiparallel_gradient(monkeypatch):
     # At a boundary minimum of the outer constraint the gradient points
     # inward: g = -2 u gives sigma = 2.  The reversed orientation clips to 0.
     g = make_path_graph()
     spec = constant_source_spec()
     u = DirichletFunction.from_interior(g, [2.0])  # ||u|| = 2
-    import plap.solver as solver_mod
-
-    orig = solver_mod._interior_grad
-    try:
-        solver_mod._interior_grad = lambda spec_, v: -2.0 * v
-        sigma, theta = kkt_multipliers(spec, u, 1.0, 2.0)
-        assert sigma == pytest.approx(2.0, rel=1e-12)
-        assert theta == 0.0
-        solver_mod._interior_grad = lambda spec_, v: 2.0 * v
-        sigma, theta = kkt_multipliers(spec, u, 1.0, 2.0)
-        assert sigma == 0.0
-        u_inner = DirichletFunction.from_interior(g, [1.0])
-        sigma, theta = kkt_multipliers(spec, u_inner, 1.0, 2.0)
-        assert theta == pytest.approx(2.0, rel=1e-12)
-        assert sigma == 0.0
-    finally:
-        solver_mod._interior_grad = orig
+    monkeypatch.setattr(EvaluationKernel, "gradient", lambda kernel, v: -2.0 * v)
+    sigma, theta = kkt_multipliers(spec, u, 1.0, 2.0)
+    assert sigma == pytest.approx(2.0, rel=1e-12)
+    assert theta == 0.0
+    monkeypatch.setattr(EvaluationKernel, "gradient", lambda kernel, v: 2.0 * v)
+    sigma, theta = kkt_multipliers(spec, u, 1.0, 2.0)
+    assert sigma == 0.0
+    u_inner = DirichletFunction.from_interior(g, [1.0])
+    sigma, theta = kkt_multipliers(spec, u_inner, 1.0, 2.0)
+    assert theta == pytest.approx(2.0, rel=1e-12)
+    assert sigma == 0.0
 
 
 def test_kkt_infeasible_point():
@@ -456,7 +451,6 @@ def one_formula_specs():
 
 
 def test_solver_energy_and_gradient_are_the_api_formulas_bit_for_bit():
-    import plap.solver as solver_mod
     from plap import gradient_residual
 
     rng = np.random.default_rng(42)
@@ -464,9 +458,9 @@ def test_solver_energy_and_gradient_are_the_api_formulas_bit_for_bit():
         for _ in range(5):
             v = rng.uniform(-1.0, 2.0, spec.graph.n_interior)
             u = DirichletFunction.from_interior(spec.graph, v)
-            J = solver_mod._J(spec, v)
+            J = spec._kernel.energy(v)
             assert np.float64(J).tobytes() == np.float64(energy_value(spec, u)).tobytes()
-            grad = solver_mod._interior_grad(spec, v)
+            grad = spec._kernel.gradient(v)
             assert grad.tobytes() == gradient_residual(spec, u).interior().tobytes()
 
 
@@ -551,13 +545,13 @@ def test_descend_evaluates_energy_about_once_per_iteration(monkeypatch):
     # per iteration on direct grids.
     spec = _direct_grid()
     calls = []
-    energy = plap.solver._J
+    energy = EvaluationKernel.energy
 
-    def counting(spec, v):
+    def counting(kernel, v):
         calls.append(1)
-        return energy(spec, v)
+        return energy(kernel, v)
 
-    monkeypatch.setattr(plap.solver, "_J", counting)
+    monkeypatch.setattr(EvaluationKernel, "energy", counting)
     pt = descend(spec, DirichletFunction.zeros(spec.graph))
     assert pt.converged
     assert len(calls) <= 1.5 * pt.iterations, (len(calls), pt.iterations)
@@ -595,7 +589,7 @@ def test_spike_energies_are_the_energy_of_each_spike(spec):
     n = spec.graph.n_interior
     F0 = spec.f.primitive_vector(np.zeros(n))
     for t in (0.3, 1e-3):
-        got = plap.solver._spike_energies(spec, t, F0)
+        got = spec._kernel.spike_energies(t, F0)
         want = [energy_value(spec, DirichletFunction.from_interior(spec.graph, _spike(spec, t, i)))
                 for i in range(n)]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -610,7 +604,7 @@ def test_spike_energies_keep_the_constant_of_a_custom_primitive():
                            primitive_fn=lambda x, t: 0.7 + t + 0.5 * t * t)
     spec = ProblemSpec(g, ExponentField.constant(g, 3.0), Potential.constant(g, 1.0), f, 0.4)
     F0 = f.primitive_vector(np.zeros(3))
-    got = plap.solver._spike_energies(spec, 0.25, F0)
+    got = spec._kernel.spike_energies(0.25, F0)
     want = [energy_value(spec, DirichletFunction.from_interior(g, _spike(spec, 0.25, i)))
             for i in range(3)]
     assert got == pytest.approx(want, rel=1e-13)

@@ -79,6 +79,7 @@ from .solver import (
     SolveReport,
     SolverOptions,
     descend,
+    descend_all,
     kkt_multipliers,
     mountain_pass,
     solve,

@@ -98,7 +98,8 @@ def _as_values(u) -> np.ndarray:
 
 
 def edge_flux(g: Graph, p_rows_m1: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """a_k = |u(r)-u(c)|^(p(r)-2) (u(r)-u(c)) w(r,c) over ``g.ordered_pairs``.
+    """a_k = |u(r)-u(c)|^(p(r)-2) (u(r)-u(c)) w(r,c) over ``g.ordered_pairs``,
+    along the last axis of ``uv`` (a vertex array or a (K, n_vertices) stack).
 
     The one edge term of the p(x)-Laplacian (``p_rows_m1`` is p - 1 at the
     rows): ``minus_laplacian`` sums it per row, the gradient of J takes half
@@ -106,7 +107,23 @@ def edge_flux(g: Graph, p_rows_m1: np.ndarray, uv: np.ndarray) -> np.ndarray:
     with v.
     """
     rows, cols, w = g.ordered_pairs
-    return _signed_power_vec(uv[rows] - uv[cols], p_rows_m1) * w
+    return _signed_power_vec(gather(uv, rows) - gather(uv, cols), p_rows_m1) * w
+
+
+def gather(uv: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``uv[..., index]``: plain indexing for a vector, ``take`` for a stack
+    (each is the fast form for its shape)."""
+    return uv[index] if uv.ndim == 1 else uv.take(index, axis=-1)
+
+
+def index_sums(index: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount(index, a, size)`` along the last axis of ``a``: for a
+    (K, E) stack, one bincount with each row's indices offset by k * size."""
+    if a.ndim == 1:
+        return np.bincount(index, a, size)
+    k = len(a)
+    offset = (np.arange(k) * size)[:, None] + index
+    return np.bincount(offset.ravel(), a.ravel(), k * size).reshape(k, size)
 
 
 def minus_laplacian(g: Graph, a: np.ndarray) -> np.ndarray:

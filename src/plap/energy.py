@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (DirichletFunction, VertexFunction, _as_values, _signed_power_vec,
-                       edge_flux, minus_laplacian)
+                       edge_flux, gather, index_sums, minus_laplacian)
 from .errors import NegativeArgument
 from .model import ProblemSpec
 
@@ -49,7 +49,9 @@ class EvaluationKernel:
     interior vectors, with every per-call constant computed once
     (``ProblemSpec._kernel`` builds it on first use).  ``terms``,
     ``gradient_at`` and ``residual`` read a full vertex array, which may be
-    nonzero on the boundary."""
+    nonzero on the boundary.  ``energy`` and ``gradient`` (with ``terms``
+    and ``gradient_at``) also take a (K, n) stack of vectors and answer row
+    by row with the same formulas, sums running along the last axis."""
 
     def __init__(self, spec: ProblemSpec):
         g = spec.graph
@@ -67,8 +69,11 @@ class EvaluationKernel:
         self.pad = np.zeros(g.n_boundary)
 
     def full(self, v: np.ndarray) -> np.ndarray:
-        """The vertex array of the interior vector v, zero on the boundary."""
-        return np.concatenate((v, self.pad))
+        """The vertex array of the interior vector v, zero on the boundary
+        (row by row for a (K, n) stack)."""
+        if v.ndim == 1:
+            return np.concatenate((v, self.pad))
+        return np.concatenate((v, np.zeros((len(v), self.pad.size))), axis=1)
 
     def _source(self, ui: np.ndarray) -> np.ndarray:
         # F at max(t, 0) plus the linear continuation below zero.
@@ -79,20 +84,22 @@ class EvaluationKernel:
             vals = vals + np.where(negmask, f0 * ui, 0.0)
         return vals
 
-    def terms(self, uv: np.ndarray) -> tuple[float, float, float]:
-        """The Dirichlet, potential and source terms of J at the vertex array uv."""
-        ui = uv[: self.n]
+    def terms(self, uv: np.ndarray):
+        """The Dirichlet, potential and source terms of J at the vertex array
+        uv, or three (K,) arrays for a (K, n_vertices) stack."""
+        ui = uv[..., : self.n]
         with np.errstate(over="ignore"):
-            d = np.abs(uv[self.cols] - uv[self.rows])
-            dirichlet = 0.5 * float((d ** self.p_rows / self.p_rows * self.w).sum())
-            potential = float((np.abs(ui) ** self.p_int / self.p_int * self.q).sum())
-            source = self.lam * float(self._source(ui).sum())
+            d = np.abs(gather(uv, self.cols) - gather(uv, self.rows))
+            dirichlet = 0.5 * np.add.reduce(d ** self.p_rows / self.p_rows * self.w, -1)
+            potential = np.add.reduce(np.abs(ui) ** self.p_int / self.p_int * self.q, -1)
+            source = self.lam * np.add.reduce(self._source(ui), -1)
         return dirichlet, potential, source
 
-    def energy(self, v: np.ndarray) -> float:
-        """J at the interior vector v."""
+    def energy(self, v: np.ndarray):
+        """J at the interior vector v, or a (K,) array for a (K, n) stack."""
         dirichlet, potential, source = self.terms(self.full(v))
-        return dirichlet + potential - source
+        J = dirichlet + potential - source
+        return J if v.ndim > 1 else float(J)
 
     def _operator(self, edge: np.ndarray, ui: np.ndarray, t: np.ndarray) -> np.ndarray:
         # edge part + q sp(u, p) - lambda f(t) at the interior vertices
@@ -100,17 +107,17 @@ class EvaluationKernel:
                 - self.lam * self.f.rate_vector(t))
 
     def gradient_at(self, uv: np.ndarray) -> np.ndarray:
-        """grad J at the interior vertices of the vertex array uv."""
-        n = self.n
-        ui = uv[:n]
+        """grad J at the interior vertices of the vertex array uv (row by row
+        for a (K, n_vertices) stack)."""
+        n, nv = self.n, self.n_vertices
+        ui = uv[..., :n]
         with np.errstate(over="ignore", invalid="ignore"):
             a = edge_flux(self.graph, self.p_rows_m1, uv)
-            edge = 0.5 * (minus_laplacian(self.graph, a)[:n]
-                          - np.bincount(self.cols, a, self.n_vertices)[:n])
+            edge = 0.5 * (index_sums(self.rows, a, nv) - index_sums(self.cols, a, nv))[..., :n]
             return self._operator(edge, ui, np.maximum(ui, 0.0))
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
-        """grad J at the interior vector v."""
+        """grad J at the interior vector v (row by row for a (K, n) stack)."""
         return self.gradient_at(self.full(v))
 
     def residual(self, uv: np.ndarray) -> float:
@@ -168,7 +175,7 @@ class EnergyBreakdown:
 def energy(spec: ProblemSpec, u: DirichletFunction | np.ndarray) -> EnergyBreakdown:
     """Evaluate J term by term in the rewritten double-sum form; ``u`` is a
     DirichletFunction or a plain array of every vertex value."""
-    return EnergyBreakdown(*spec._kernel.terms(_as_values(u)))
+    return EnergyBreakdown(*map(float, spec._kernel.terms(_as_values(u))))
 
 
 def energy_value(spec: ProblemSpec, u: DirichletFunction | np.ndarray) -> float:

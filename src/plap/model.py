@@ -128,7 +128,8 @@ class Nonlinearity:
     ``_primitive(i, t)``; otherwise F comes from ``panel_quadrature``.  ``i``
     is a vertex index or an index array broadcast against the points, and
     ``i = None`` is the whole interior (``rate_vector``, ``primitive_vector``,
-    ``slope_vector``).  The slope d_t f is a difference quotient of ``_rate``
+    ``slope_vector``), read along the last axis of t, which may be a (K, n)
+    stack.  The slope d_t f is a difference quotient of ``_rate``
     unless a subclass writes it in closed form.
     """
 
@@ -145,7 +146,9 @@ class Nonlinearity:
         return self._params if i is None else [a[i] for a in self._params]
 
     def _primitive(self, i, t):
-        return panel_quadrature(self._rate, np.arange(len(t)) if i is None else i, t)
+        if i is None:  # t is one value per interior vertex along its last axis
+            i = np.broadcast_to(np.arange(t.shape[-1]), t.shape)
+        return panel_quadrature(self._rate, i, t)
 
     # -- vector evaluation over the interior ------------------------------
 

@@ -12,6 +12,7 @@ finishes with Newton steps solved by MINRES on the exact Hessian product.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -84,10 +85,16 @@ class Annulus:
 Constraint = Ball | Annulus | None
 
 
+def _norm(v: np.ndarray) -> float:
+    # The sum of squares overflows above about 1e154; math.hypot does not.
+    s = v.dot(v)
+    return math.sqrt(s) if s < math.inf else math.hypot(*v)
+
+
 def _project(constraint: Constraint, v: np.ndarray) -> np.ndarray:
     if constraint is None:
         return v
-    nv = math.sqrt(v.dot(v))
+    nv = _norm(v)
     if isinstance(constraint, Ball):
         if nv <= constraint.radius:
             return v
@@ -106,7 +113,7 @@ def _project(constraint: Constraint, v: np.ndarray) -> np.ndarray:
 def _feasible(constraint: Constraint, v: np.ndarray, tol: float = 1e-9) -> bool:
     if constraint is None:
         return True
-    nv = math.sqrt(v.dot(v))
+    nv = _norm(v)
     if isinstance(constraint, Ball):
         return nv <= constraint.radius * (1 + tol) + tol
     return constraint.zeta * (1 - tol) - tol <= nv <= constraint.gamma * (1 + tol) + tol
@@ -157,30 +164,19 @@ def _bb_step(s: np.ndarray, y: np.ndarray, default: float) -> float:
     return default
 
 
-def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = None,
-            opts: SolverOptions | None = None) -> CriticalPoint:
-    """Projected-gradient descent of J from u0.
+# What a descent asks its driver for: J or grad J at an interior vector.
+_ENERGY, _GRADIENT = "J", "grad J"
 
-    A trial point c with step d = c - v is accepted when J(c) <= J(v) -
-    (1e-4/step)|d|^2 (Armijo) or, when |J(c) - J(v)| lies within 32 eps
-    (1 + |J(v)|) so J cannot resolve the decrease, when <grad J(c), d> <=
-    (2 delta - 1) <grad J(v), d> with delta = 0.1: the trapezoid estimate of
-    a delta-sufficient decrease (Hager and Zhang's approximate Wolfe
-    condition).  Otherwise the step halves.
-    Terminates when the (projected) residual sup-norm drops below grad_tol;
-    hitting the iteration budget, a residual plateau, a blow-up or 30 rejected
-    trials returns the last iterate flagged (converged=False) instead of
-    raising.
-    """
-    opts = opts or SolverOptions()
-    v = u0.interior().copy()
+
+def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
+    """The loop of ``descend`` as a generator: it yields (_ENERGY, x) or
+    (_GRADIENT, x), is sent J(x) or grad J(x), and returns (v, J, g,
+    residual, converged, iterations) at its last iterate."""
     if not _feasible(constraint, v):
-        raise InfeasibleStart(
-            f"start with norm {math.sqrt(v.dot(v)):.6g} violates {constraint}"
-        )
+        raise InfeasibleStart(f"start with norm {_norm(v):.6g} violates {constraint}")
     v = _project(constraint, v)
-    J = spec._kernel.energy(v)
-    g = spec._kernel.gradient(v)
+    J = yield _ENERGY, v
+    g = yield _GRADIENT, v
     prev_v: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     converged = False
@@ -215,13 +211,13 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
             nd2 = float(np.dot(delta, delta))
             if nd2 == 0.0:
                 break  # displacement below representable resolution
-            Jc = spec._kernel.energy(cand)
+            Jc = yield _ENERGY, cand
             if math.isfinite(Jc) and Jc <= J - (_ARMIJO_C / step) * nd2:
                 accepted = True
                 break
             if abs(Jc - J) <= floor:
                 # J cannot resolve the decrease; judge it by the slope.
-                gc = spec._kernel.gradient(cand)
+                gc = yield _GRADIENT, cand
                 if np.dot(gc, delta) <= (2.0 * _WOLFE_DELTA - 1.0) * np.dot(g, delta):
                     accepted = True
                     new_g = gc
@@ -232,12 +228,73 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
         last_step = max(step, _BB_LO)
         prev_v, prev_g = v, g
         v, J = cand, Jc
-        g = new_g if new_g is not None else spec._kernel.gradient(v)
+        g = new_g if new_g is not None else (yield _GRADIENT, v)
         it += 1
     residual = _residual_measure(constraint, v, g)
-    converged = converged or residual <= opts.grad_tol
-    grad_inf = float(np.abs(g).max())
-    return _as_point(spec, v, J, residual, "Minimizer", converged, it, grad_inf)
+    return v, J, g, residual, converged or residual <= opts.grad_tol, it
+
+
+def descend_all(spec: ProblemSpec, starts: list[np.ndarray], constraint: Constraint = None,
+                opts: SolverOptions | None = None) -> list[CriticalPoint]:
+    """``descend`` from each interior start vector, the descents run in lock
+    step: each round answers every pending J request with one kernel call
+    on the (K, n) stack of their points, and every grad J request with one
+    more.  A descent that stops drops out; once one is left, it calls the
+    kernel on its own vectors.  Returns the points in the order of
+    ``starts``; raises InfeasibleStart before any evaluation if a start
+    violates the constraint."""
+    opts = opts or SolverOptions()
+    kernel = spec._kernel
+    lanes = [_descent(constraint, np.asarray(s, dtype=float), opts) for s in starts]
+    ends: list = [None] * len(lanes)
+    # For ``_norm``, whose sum of squares may overflow.  Only constrained
+    # descents take norms, and numpy ufuncs run slower under an errstate.
+    with np.errstate(over="ignore") if constraint is not None else contextlib.nullcontext():
+        asks = [next(lane) for lane in lanes]
+        live = list(range(len(lanes)))
+        while len(live) > 1:
+            answers = []
+            for kind, evaluate in ((_ENERGY, kernel.energy), (_GRADIENT, kernel.gradient)):
+                ks = [k for k in live if asks[k][0] is kind]
+                if len(ks) == 1:
+                    answers.append((ks[0], evaluate(asks[ks[0]][1])))
+                elif ks:
+                    values = evaluate(np.stack([asks[k][1] for k in ks]))
+                    answers += zip(ks, values.tolist() if kind is _ENERGY else values)
+            for k, value in answers:
+                try:
+                    asks[k] = lanes[k].send(value)
+                except StopIteration as stop:
+                    ends[k] = stop.value
+                    live.remove(k)
+        for k in live:  # the last descent: no stacks and no rounds to keep
+            lane, (kind, x) = lanes[k], asks[k]
+            try:
+                while True:
+                    kind, x = lane.send(kernel.energy(x) if kind is _ENERGY
+                                        else kernel.gradient(x))
+            except StopIteration as stop:
+                ends[k] = stop.value
+    return [_as_point(spec, v, J, residual, "Minimizer", converged, it, float(np.abs(g).max()))
+            for v, J, g, residual, converged, it in ends]
+
+
+def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = None,
+            opts: SolverOptions | None = None) -> CriticalPoint:
+    """Projected-gradient descent of J from u0.
+
+    A trial point c with step d = c - v is accepted when J(c) <= J(v) -
+    (1e-4/step)|d|^2 (Armijo) or, when |J(c) - J(v)| lies within 32 eps
+    (1 + |J(v)|) so J cannot resolve the decrease, when <grad J(c), d> <=
+    (2 delta - 1) <grad J(v), d> with delta = 0.1: the trapezoid estimate of
+    a delta-sufficient decrease (Hager and Zhang's approximate Wolfe
+    condition).  Otherwise the step halves.
+    Terminates when the (projected) residual sup-norm drops below grad_tol;
+    hitting the iteration budget, a residual plateau, a blow-up or 30 rejected
+    trials returns the last iterate flagged (converged=False) instead of
+    raising.  The one-start case of ``descend_all``.
+    """
+    return descend_all(spec, [u0.interior()], constraint, opts)[0]
 
 
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -530,7 +587,8 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     ``ball_convexity_certificate`` holds, the ball descent from zero that
     converges strictly inside the ball with J < 0 is the only minimizer
     there, and the spike and restart descents are skipped; their starts are
-    still drawn, so the annulus starts read the same stream.  Sub-operation
+    still drawn, so the annulus starts read the same stream.  Each set of
+    independent starts runs as one ``descend_all`` batch.  Sub-operation
     failures become notes; partial results are returned flagged rather than
     raised.
     """
@@ -553,9 +611,8 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     sphere_bound: float | None = None
     kkt_info: KKTInfo | None = None
 
-    def run(start: np.ndarray, constraint: Constraint) -> CriticalPoint:
-        u0 = DirichletFunction.from_interior(spec.graph, _project(constraint, start))
-        return descend(spec, u0, constraint, opts)
+    def run(starts: list[np.ndarray], constraint: Constraint) -> list[CriticalPoint]:
+        return descend_all(spec, [_project(constraint, s) for s in starts], constraint, opts)
 
     two_solution = regime.has(RegimeTag.TWO_SOLUTIONS) or regime.has(RegimeTag.TWO_SOLUTIONS_KKT)
     ball_regime = two_solution or regime.has(RegimeTag.EKELAND)
@@ -574,18 +631,21 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             return pt.converged and pt.grad_inf <= opts.grad_tol and pt.norm < radius * (1 - 1e-9)
 
         ball = Ball(radius)
-        zero = run(np.zeros(n), ball)
+        zero = run([np.zeros(n)], ball)[0] if ball_convexity.certified else None
         # J(0) = 0, so J < 0 also rejects a descent stalled at u = 0.
-        if ball_convexity.certified and inside(zero) and zero.value < 0.0:
+        if zero is not None and inside(zero) and zero.value < 0.0:
             ball_points = [zero]
         else:
-            ball_points = []
+            spike = []
             try:
-                ball_points.append(run(spike_point(spec).interior(), ball))
+                spike.append(spike_point(spec).interior())
             except ConstructionFailed as exc:
                 notes.append(f"spike construction failed: {exc}")
-            ball_points.append(zero)
-            ball_points += [run(s, ball) for s in restarts]
+            if zero is None:
+                ball_points = run(spike + [np.zeros(n)] + restarts, ball)
+            else:
+                ball_points = run(spike + restarts, ball)
+                ball_points.insert(len(spike), zero)
         interior_ok = [pt for pt in ball_points if inside(pt)]
         best = None
         if interior_ok:
@@ -618,7 +678,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             ann_starts = [np.full(n, zeta / math.sqrt(n))]
             for _ in range(max(2, opts.restarts // 2)):
                 ann_starts.append(_random_direction(rng, n) * rng.uniform(zeta, gamma))
-            ann_points = [run(s, ann) for s in ann_starts]
+            ann_points = run(ann_starts, ann)
             best_ann = min(ann_points, key=lambda pt: pt.value)
             try:
                 sigma, theta = kkt_multipliers(spec, best_ann.u, zeta, gamma)
@@ -640,10 +700,12 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             except InfeasiblePoint as exc:
                 notes.append(f"KKT extraction failed: {exc}")
     else:
-        points = [run(np.zeros(n), None)]
-        if not (uniqueness.certified and points[0].converged):
-            for _ in range(opts.restarts):
-                points.append(run(rng.uniform(-0.5, 1.5, n), None))
+        def draws() -> list[np.ndarray]:
+            return [rng.uniform(-0.5, 1.5, n) for _ in range(opts.restarts)]
+
+        points = run([np.zeros(n)] + ([] if uniqueness.certified else draws()), None)
+        if uniqueness.certified and not points[0].converged:
+            points += run(draws(), None)
         good = [pt for pt in points if pt.converged]
         if good:
             candidates.append(min(good, key=lambda pt: pt.value))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,34 @@ def test_inequality_fuzz():
         for item in ITEMS:
             lhs, rhs, holds = check_inequality(item, spec, u, m)
             assert holds, (item, lhs, rhs)
+
+
+def test_a2_left_side_is_the_dense_pair_sum():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        spec = random_power_spec(rng)
+        u = random_dirichlet(rng, spec.graph, -3.0, 3.0)
+        m = float(rng.uniform(2.0, 8.0))
+        lhs, _, _ = check_inequality("a2", spec, u, m)
+        dense = float(np.sum(np.abs(u.values[None, :] - u.values[:, None]) ** m))
+        assert lhs == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def test_a2_memory_stays_below_the_dense_pair_array():
+    # 1,152 vertices: the dense n x n array of differences alone is 10.6 MB.
+    spec = two_solution_grid(32, 71, 0)
+    u = random_dirichlet(np.random.default_rng(3), spec.graph, -1.0, 1.0)
+    instance_constants(spec)
+    tracemalloc.start()
+    try:
+        lhs, _, holds = check_inequality("a2", spec, u, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds
+    assert peak < 2 * 2 ** 20, peak
+    dense = float(np.sum(np.abs(u.values[None, :] - u.values[:, None]) ** 3.0))
+    assert lhs == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_thresholds_cubic_instance():

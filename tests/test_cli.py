@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,20 @@ def test_t0_is_one_where_its_power_overflows(capsys, tmp_path):
         code, out, _ = run_cli([command, str(path)], capsys)
         assert code == 0
         assert json.loads(out)["thresholds"]["t0"] == 1.0
+
+
+def test_solve_with_a_huge_potential_does_not_overflow_the_ball_projection(capsys, tmp_path):
+    # At q = 1e300 the gradient in a ball restart is about 1e300, so the sum
+    # of squares of v - g overflows a double though its norm does not.
+    doc = json.loads(fixture_path("cubic_path.json").read_text())
+    doc["q"], doc["lambda"] = 1e300, 1e-30
+    path = tmp_path / "huge_potential.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["solve", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["solutions"][0]["kind"] == "Minimizer"
 
 
 def test_certify_rejects_unknown_vertex(capsys, tmp_path):

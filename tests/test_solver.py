@@ -13,9 +13,11 @@ from plap import (
     ProblemSpec,
     RegimeTag,
     SolverOptions,
+    ball_convexity_certificate,
     build_graph,
     classify_regime,
     descend,
+    descend_all,
     energy_value,
     fixture_path,
     instance_constants,
@@ -351,13 +353,16 @@ def test_solve_sphere_estimate_recorded():
 
 
 def _counting_descend(monkeypatch):
+    """Record the constraint of every descent (one per start) that runs
+    through ``descend_all``, the entry point of ``descend`` and ``solve``."""
     calls = []
+    descend_all = plap.solver.descend_all
 
-    def counting(problem, u0, constraint=None, *args, **kwargs):
-        calls.append(constraint)
-        return descend(problem, u0, constraint, *args, **kwargs)
+    def counting(problem, starts, constraint=None, *args, **kwargs):
+        calls.extend([constraint] * len(starts))
+        return descend_all(problem, starts, constraint, *args, **kwargs)
 
-    monkeypatch.setattr(plap.solver, "descend", counting)
+    monkeypatch.setattr(plap.solver, "descend_all", counting)
     return calls
 
 
@@ -729,15 +734,20 @@ def test_certified_solve_falls_back_to_restarts_when_the_first_descent_stops(mon
 
 def _ball_search_by_hand(spec, opts):
     """The ball points of the full search: the descents from the spike, the
-    origin and each restart, the restarts drawn from ``solve``'s stream."""
+    origin and each restart, the restarts drawn from ``solve``'s stream, run
+    in ``solve``'s batches: on a certified convex ball the origin alone,
+    then the spike and the restarts; otherwise all of them at once."""
     radius = instance_constants(spec).n_vertices ** -0.5
     rng = np.random.default_rng(opts.rng_seed)
     n = spec.graph.n_interior
-    starts = [spike_point(spec).interior(), np.zeros(n)]
-    starts += [plap.solver._random_direction(rng, n) * radius * rng.uniform(0.05, 0.95)
-               for _ in range(opts.restarts)]
-    points = [descend(spec, DirichletFunction.from_interior(spec.graph, s), Ball(radius), opts)
-              for s in starts]
+    restarts = [plap.solver._random_direction(rng, n) * radius * rng.uniform(0.05, 0.95)
+                for _ in range(opts.restarts)]
+    spike, ball = spike_point(spec).interior(), Ball(radius)
+    if ball_convexity_certificate(spec, radius).certified:
+        points = descend_all(spec, [spike] + restarts, ball, opts)
+        points.insert(1, descend(spec, DirichletFunction.zeros(spec.graph), ball, opts))
+    else:
+        points = descend_all(spec, [spike, np.zeros(n)] + restarts, ball, opts)
     inside = [pt for pt in points if pt.converged and pt.grad_inf <= opts.grad_tol
               and pt.norm < radius * (1 - 1e-9)]
     return points, inside

@@ -20,11 +20,8 @@ from .errors import (
     DegenerateExponent,
     DomainError,
     GammaTooSmall,
-    InvariantError,
     NegativeArgument,
-    ParseError,
     PlapError,
-    SchemaError,
     SolverError,
 )
 from .graphs import graph_summary, validate_graph
@@ -62,30 +59,31 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="plap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("validate", help="check a problem file and its graph invariants")
-    pv.add_argument("file")
+    def command(name: str, handler, help: str) -> _Parser:
+        cmd = sub.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
+        cmd.add_argument("file")
+        return cmd
 
-    pb = sub.add_parser("bounds", help="instance constants, thresholds, regime tags")
-    pb.add_argument("file")
+    command("validate", _cmd_validate, "check a problem file and its graph invariants")
+
+    pb = command("bounds", _cmd_bounds, "instance constants, thresholds, regime tags")
     pb.add_argument("--gamma", type=float, default=None)
 
-    ps = sub.add_parser("solve", help="search for positive solutions and certify them")
-    ps.add_argument("file")
+    ps = command("solve", _cmd_solve, "search for positive solutions and certify them")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--tol", type=float, default=None)
     ps.add_argument("--gamma", type=float, default=None)
     ps.add_argument("--restarts", type=int, default=None)
 
-    pw = sub.add_parser("sweep", help="solve over a lambda grid, CSV output")
-    pw.add_argument("file")
+    pw = command("sweep", _cmd_sweep, "solve over a lambda grid, CSV output")
     pw.add_argument("--lambda-min", type=float, required=True)
     pw.add_argument("--lambda-max", type=float, required=True)
     pw.add_argument("--steps", type=int, required=True)
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--restarts", type=int, default=None)
 
-    pc = sub.add_parser("certify", help="recheck a provided solution against the equation")
-    pc.add_argument("file")
+    pc = command("certify", _cmd_certify, "recheck a provided solution against the equation")
     pc.add_argument("--solution", required=True)
     pc.add_argument("--tol", type=float, default=1e-8)
     return parser
@@ -217,37 +215,22 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if out["passed"] else EXIT_CERTIFICATE
 
 
+# The exit code of an error is that of the first row whose kinds it is one of;
+# every other library error (ParseError, SchemaError, InvariantError, ...) is 2.
+_EXIT_CODES = (
+    (_UsageError, EXIT_USAGE),
+    ((SolverError, DegenerateExponent, GammaTooSmall), EXIT_SOLVE),
+    (PlapError, EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
+    except (_UsageError, PlapError) as exc:
         sys.stderr.write(f"plap: {exc}\n")
-        return EXIT_USAGE
-    try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        sys.stderr.write(f"plap: {exc}\n")
-        return EXIT_USAGE
-    except (ParseError, SchemaError, InvariantError) as exc:
-        sys.stderr.write(f"plap: {exc}\n")
-        return EXIT_PARSE
-    except (SolverError, DegenerateExponent, GammaTooSmall) as exc:
-        sys.stderr.write(f"plap: {exc}\n")
-        return EXIT_SOLVE
-    except PlapError as exc:
-        sys.stderr.write(f"plap: {exc}\n")
-        return EXIT_PARSE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -22,10 +22,11 @@ from .quadrature import panel_quadrature
 _SLOPE_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 
-def _vertex_array(
-    graph: Graph, data, labels: Sequence[VertexId], what: str
-) -> np.ndarray:
-    """Accept a scalar, a sequence in vertex order, or a label->value map."""
+def _vertex_array(graph: Graph, data, labels: Sequence[VertexId], what: str,
+                  lo: float = 0.0, closed: bool = False) -> np.ndarray:
+    """The read-only values of field ``what`` over ``labels`` (the interior
+    S or all vertices S-bar) from a scalar, a sequence in vertex order or a
+    label->value map, each finite and > lo (>= lo when ``closed``)."""
     if isinstance(data, Mapping):
         missing = [v for v in labels if v not in data]
         if missing:
@@ -33,13 +34,20 @@ def _vertex_array(
         extra = [k for k in data if k not in labels]
         if extra:
             raise InvariantError(f"{what}: unknown vertices {extra}")
-        return np.array([float(data[v]) for v in labels])
-    arr = np.asarray(data, dtype=float)
+        data = [float(data[v]) for v in labels]
+    arr = np.array(data, dtype=float)
     if arr.ndim == 0:
-        return np.full(len(labels), float(arr))
+        arr = np.full(len(labels), arr)
     if arr.shape != (len(labels),):
         raise InvariantError(f"{what}: expected {len(labels)} values, got shape {arr.shape}")
-    return arr.copy()
+    ok = np.isfinite(arr) & ((arr >= lo) if closed else (arr > lo))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        domain = "S" if len(labels) == graph.n_interior else "S-bar"
+        raise InvariantError(f"{what}({labels[k]}) = {arr[k]:g} violates {what}: {domain} -> "
+                             f"{'[' if closed else '('}{lo:g}, inf)")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +58,8 @@ class ExponentField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _vertex_array(self.graph, self.values, self.graph.vertices, "p")
-        bad = [v for v, pv in zip(self.graph.vertices, vals) if pv < 2.0]
-        if bad:
-            raise InvariantError(
-                f"p({bad[0]}) = {vals[self.graph.index_of(bad[0])]:g} violates p: S-bar -> [2, inf)"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _vertex_array(
+            self.graph, self.values, self.graph.vertices, "p", lo=2.0, closed=True))
 
     @classmethod
     def constant(cls, graph: Graph, p: float) -> "ExponentField":
@@ -75,14 +77,8 @@ class Potential:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _vertex_array(self.graph, self.values, self.graph.interior, "q")
-        bad = [v for v, qv in zip(self.graph.interior, vals) if qv <= 0.0]
-        if bad:
-            raise InvariantError(
-                f"q({bad[0]}) <= 0 violates q: S -> (0, inf)"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _vertex_array(
+            self.graph, self.values, self.graph.interior, "q"))
 
     @classmethod
     def constant(cls, graph: Graph, q: float) -> "Potential":
@@ -107,17 +103,10 @@ class GrowthEnvelope:
     psi2: np.ndarray
 
     def __post_init__(self):
-        labels = self.graph.interior
         for name in ("m1", "m2", "phi1", "phi2", "psi1", "psi2"):
-            arr = _vertex_array(self.graph, getattr(self, name), labels, name)
-            lo = 2.0 if name in ("m1", "m2") else 0.0
-            if name in ("m1", "m2"):
-                if np.any(arr < lo):
-                    raise InvariantError(f"{name} must be >= 2 everywhere")
-            elif np.any(arr <= 0.0):
-                raise InvariantError(f"{name} must be strictly positive")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            lo, closed = (2.0, True) if name[0] == "m" else (0.0, False)
+            object.__setattr__(self, name, _vertex_array(
+                self.graph, getattr(self, name), self.graph.interior, name, lo, closed))
 
 
 class Nonlinearity:
@@ -184,14 +173,9 @@ class PowerPlus(Nonlinearity):
     kind = "power_plus"
 
     def __init__(self, graph: Graph, phi, m, psi):
-        labels = graph.interior
-        self.phi = _vertex_array(graph, phi, labels, "phi")
-        self.m = _vertex_array(graph, m, labels, "m")
-        self.psi = _vertex_array(graph, psi, labels, "psi")
-        if np.any(self.m < 2.0):
-            raise InvariantError("m must be >= 2 everywhere")
-        if np.any(self.phi < 0.0) or np.any(self.psi <= 0.0):
-            raise InvariantError("need phi >= 0 and psi > 0")
+        self.phi = _vertex_array(graph, phi, graph.interior, "phi", closed=True)
+        self.m = _vertex_array(graph, m, graph.interior, "m", lo=2.0, closed=True)
+        self.psi = _vertex_array(graph, psi, graph.interior, "psi")
         envelope = None
         if np.all(self.phi > 0.0):
             envelope = GrowthEnvelope(
@@ -229,14 +213,9 @@ class ArctanPower(Nonlinearity):
     kind = "arctan_power"
 
     def __init__(self, graph: Graph, m, phi, psi):
-        labels = graph.interior
-        self.m = _vertex_array(graph, m, labels, "m")
-        self.phi = _vertex_array(graph, phi, labels, "phi")
-        self.psi = _vertex_array(graph, psi, labels, "psi")
-        if np.any(self.m < 2.0):
-            raise InvariantError("m must be >= 2 everywhere")
-        if np.any(self.phi <= 0.0) or np.any(self.psi <= 0.0):
-            raise InvariantError("need phi > 0 and psi > 0")
+        self.m = _vertex_array(graph, m, graph.interior, "m", lo=2.0, closed=True)
+        self.phi = _vertex_array(graph, phi, graph.interior, "phi")
+        self.psi = _vertex_array(graph, psi, graph.interior, "psi")
         bulk = 2.0 ** self.m * (1.0 + self.phi)
         envelope = GrowthEnvelope(
             graph, m1=self.m, m2=self.m + 2.0, phi1=self.phi, phi2=bulk,

@@ -42,10 +42,10 @@ _WEIGHTS = np.concatenate((-W10, W20))  # row sum: 20-point minus 10-point rule
 # Past 63 kinks F is large enough for bisection to meet the relative slack at
 # the remaining ones, so the panel count stops growing with t.
 _MAX_PANELS = 64
+_TOL, _MAX_DEPTH = 1e-10, 40  # absolute tolerance, bisection levels
 
 
-def panel_quadrature(rate: Callable[[np.ndarray, np.ndarray], np.ndarray], i, t,
-                     tol: float = 1e-10, max_depth: int = 40):
+def panel_quadrature(rate: Callable[[np.ndarray, np.ndarray], np.ndarray], i, t):
     """Integral of rate(i, s) ds over [0, t], elementwise over t >= 0.
 
     ``i`` is a vertex index, or an index array shaped like ``t``;
@@ -72,7 +72,7 @@ def panel_quadrature(rate: Callable[[np.ndarray, np.ndarray], np.ndarray], i, t,
     if not owner.size:  # every upper limit is 0; empty arrays would page in numpy code
         return total.reshape(t.shape)[()]
     budget = None
-    for _ in range(max_depth + 1):
+    for _ in range(_MAX_DEPTH + 1):
         half = 0.5 * (b - a)
         x = (a + half)[:, None] + half[:, None] * _NODES
         fw = rate(vertex[owner][:, None] if vertex.ndim else vertex, x) * _WEIGHTS
@@ -87,7 +87,7 @@ def panel_quadrature(rate: Callable[[np.ndarray, np.ndarray], np.ndarray], i, t,
             # the integral itself is large; allow relative slack at ~1e-13 of
             # the value.  Each panel gets its length's share.
             whole = np.abs(np.bincount(owner, weights=g20, minlength=upper.size))
-            budget = np.maximum(tol, 1e-13 * whole)[owner] * (b - a) / upper[owner]
+            budget = np.maximum(_TOL, 1e-13 * whole)[owner] * (b - a) / upper[owner]
         # Where F piles up near t a share can fall below the rounding floor of
         # the panel's own sum, which no bisection gets under; the floor passes.
         ok = err <= np.maximum(budget, 1e-14 * np.abs(g20))
@@ -99,5 +99,5 @@ def panel_quadrature(rate: Callable[[np.ndarray, np.ndarray], np.ndarray], i, t,
         a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
         owner, budget = np.concatenate((owner, owner)), np.concatenate((budget, budget))
     raise QuadratureFailure(
-        f"tolerance {tol:g} not reached at depth {max_depth} on [{a[0]:g}, {b[0]:g}]"
+        f"tolerance {_TOL:g} not reached at depth {_MAX_DEPTH} on [{a[0]:g}, {b[0]:g}]"
     )

@@ -51,6 +51,7 @@ _NEWTON_STEPS = 8
 _MINRES_ITER = 500
 _BB_LO, _BB_HI = 1e-10, 1e10
 _NORM_BLOWUP = 1e10
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
         trial = last_step if prev_v is None else _bb_step(v - prev_v, g - prev_g, last_step)
         accepted = False
         new_g = None
-        floor = 32.0 * np.finfo(float).eps * (1.0 + abs(J))
+        floor = 32.0 * _EPS * (1.0 + abs(J))
         step = trial
         for _ in range(30):
             if step < _STEP_MIN:
@@ -359,7 +360,7 @@ def _minres(hess, b: np.ndarray, max_iter: int) -> np.ndarray:
         # apply the previous Givens rotation, then eliminate the new beta
         delta, gbar = cs * dbar + sn * alpha, sn * dbar - cs * alpha
         oldeps, epsln, dbar = epsln, sn * beta, -cs * beta
-        gamma = max(math.hypot(gbar, beta), np.finfo(float).eps)
+        gamma = max(math.hypot(gbar, beta), _EPS)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
         w2, w = w, (v - oldeps * w2 - delta * w) / gamma
@@ -611,8 +612,16 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     sphere_bound: float | None = None
     kkt_info: KKTInfo | None = None
 
-    def run(starts: list[np.ndarray], constraint: Constraint) -> list[CriticalPoint]:
-        return descend_all(spec, [_project(constraint, s) for s in starts], constraint, opts)
+    def critical(pt: CriticalPoint) -> bool:
+        return pt.converged and pt.grad_inf <= opts.grad_tol
+
+    def origin_first(certified: bool, shortcut, constraint: Constraint, others):
+        # The origin and the starts others() descend as one batch, the origin first.
+        # A certified origin runs alone first; if shortcut accepts it, nothing else runs.
+        if not certified:
+            return descend_all(spec, [np.zeros(n)] + others(), constraint, opts)
+        zero = descend_all(spec, [np.zeros(n)], constraint, opts)
+        return zero if shortcut(zero[0]) else zero + descend_all(spec, others(), constraint, opts)
 
     two_solution = regime.has(RegimeTag.TWO_SOLUTIONS) or regime.has(RegimeTag.TWO_SOLUTIONS_KKT)
     ball_regime = two_solution or regime.has(RegimeTag.EKELAND)
@@ -628,24 +637,19 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
                     for _ in range(opts.restarts)]
 
         def inside(pt: CriticalPoint) -> bool:
-            return pt.converged and pt.grad_inf <= opts.grad_tol and pt.norm < radius * (1 - 1e-9)
+            return critical(pt) and pt.norm < radius * (1 - 1e-9)
 
-        ball = Ball(radius)
-        zero = run([np.zeros(n)], ball)[0] if ball_convexity.certified else None
-        # J(0) = 0, so J < 0 also rejects a descent stalled at u = 0.
-        if zero is not None and inside(zero) and zero.value < 0.0:
-            ball_points = [zero]
-        else:
-            spike = []
+        def spike_and_restarts() -> list[np.ndarray]:
             try:
-                spike.append(spike_point(spec).interior())
+                return [spike_point(spec).interior()] + restarts
             except ConstructionFailed as exc:
                 notes.append(f"spike construction failed: {exc}")
-            if zero is None:
-                ball_points = run(spike + [np.zeros(n)] + restarts, ball)
-            else:
-                ball_points = run(spike + restarts, ball)
-                ball_points.insert(len(spike), zero)
+                return restarts
+
+        # J(0) = 0, so J < 0 also rejects a descent stalled at u = 0.
+        ball_points = origin_first(ball_convexity.certified,
+                                   lambda pt: inside(pt) and pt.value < 0.0,
+                                   Ball(radius), spike_and_restarts)
         interior_ok = [pt for pt in ball_points if inside(pt)]
         best = None
         if interior_ok:
@@ -678,7 +682,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             ann_starts = [np.full(n, zeta / math.sqrt(n))]
             for _ in range(max(2, opts.restarts // 2)):
                 ann_starts.append(_random_direction(rng, n) * rng.uniform(zeta, gamma))
-            ann_points = run(ann_starts, ann)
+            ann_points = descend_all(spec, ann_starts, ann, opts)
             best_ann = min(ann_points, key=lambda pt: pt.value)
             try:
                 sigma, theta = kkt_multipliers(spec, best_ann.u, zeta, gamma)
@@ -690,7 +694,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
                     notes.append(
                         f"annulus minimizer sits on the outer sphere (sigma = {sigma:.6g})"
                     )
-                if best_ann.converged and best_ann.grad_inf <= opts.grad_tol:
+                if critical(best_ann):
                     candidates.append(best_ann)
                 else:
                     notes.append(
@@ -700,29 +704,22 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             except InfeasiblePoint as exc:
                 notes.append(f"KKT extraction failed: {exc}")
     else:
-        def draws() -> list[np.ndarray]:
-            return [rng.uniform(-0.5, 1.5, n) for _ in range(opts.restarts)]
-
-        points = run([np.zeros(n)] + ([] if uniqueness.certified else draws()), None)
-        if uniqueness.certified and not points[0].converged:
-            points += run(draws(), None)
-        good = [pt for pt in points if pt.converged]
-        if good:
-            candidates.append(min(good, key=lambda pt: pt.value))
-        else:
+        points = origin_first(uniqueness.certified, critical, None,
+                              lambda: [rng.uniform(-0.5, 1.5, n) for _ in range(opts.restarts)])
+        good = [pt for pt in points if critical(pt)]
+        if not good:
             notes.append("no descent run converged; reporting the best iterate flagged")
-            candidates.append(min(points, key=lambda pt: pt.value))
+        candidates.append(min(good or points, key=lambda pt: pt.value))
         if not regime.tags:
             notes.append("no existence statement applies at this lambda; result is best effort")
 
     for pt in candidates:
-        if not (pt.converged and pt.grad_inf <= opts.grad_tol):
+        if not critical(pt):
             notes.append(
                 f"candidate kept out of the solution list "
                 f"(J = {pt.value:.6g}, gradient sup-norm {pt.grad_inf:.3g})"
             )
-    solutions = _dedupe([pt for pt in candidates
-                         if pt.converged and pt.grad_inf <= opts.grad_tol])
+    solutions = _dedupe([pt for pt in candidates if critical(pt)])
     solutions.sort(key=lambda pt: pt.norm)
     for pt in solutions:
         rep = verify_positive(spec, pt.u)

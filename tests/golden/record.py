@@ -1,13 +1,16 @@
 """Record the reference outputs that ``tests/test_golden.py`` compares against.
 
-Runs 31 ``plap`` commands in-process: validate, bounds, bounds --gamma 14.7,
+Runs 38 ``plap`` commands in-process: validate, bounds, bounds --gamma 14.7,
 solve, solve --seed 0, solve --gamma 14.7 and solve --seed 3 --gamma 14.7 on
-each bundled fixture, the 16-step ``cubic_path`` sweep, and certify on the
-``cubic_path`` minimizer and on u(v1) = 1e300.  Each command's stdout goes to
-``<name>.out``; its argv, exit code and stderr go to ``commands.json``.  Paths
-are written with the placeholders ``{fixtures}`` and ``{golden}``.
+each bundled fixture, the 16-step ``cubic_path`` sweep, certify on the
+``cubic_path`` minimizer and on u(v1) = 1e300, and seven failing commands
+that pin the exit codes 1 (usage), 2 (parse/validation) and 3 (solve).
+Each command's stdout goes to ``<name>.out``; its argv, exit code and stderr
+go to ``commands.json``.  Paths are written with the placeholders
+``{fixtures}`` and ``{golden}``.  Named commands are recorded alone, the
+others kept as they are:
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py [name ...]
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
@@ -37,6 +41,16 @@ def commands() -> dict[str, list[str]]:
     for name in ("cubic_path_minimizer", "cubic_path_huge"):
         out[f"certify-{name}"] = ["certify", "{fixtures}/cubic_path.json",
                                   "--solution", f"{{golden}}/{name}.json"]
+    cubic = "{fixtures}/cubic_path.json"
+    out["sweep-steps0"] = ["sweep", cubic, "--lambda-min", "0.05", "--lambda-max", "1.0",
+                           "--steps", "0"]
+    out["solve-no-file"] = ["solve"]
+    out["solve-missing-file"] = ["solve", "{golden}/missing.json"]
+    out["validate-q-missing-vertex"] = ["validate", "{golden}/q_missing_vertex.json"]
+    out["certify-negative-tol"] = ["certify", cubic, "--solution",
+                                   "{golden}/cubic_path_minimizer.json", "--tol", "-1"]
+    out["solve-negative-seed"] = ["solve", cubic, "--seed", "-1"]
+    out["bounds-gamma-too-small"] = ["bounds", cubic, "--gamma", "1"]
     return out
 
 
@@ -60,14 +74,23 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, texts[0], texts[1]
 
 
-def record() -> None:
+def record(names: list[str]) -> None:
+    """Record the named commands, or every command when none is named."""
+    index_path = GOLDEN / "commands.json"
+    old = json.loads(index_path.read_text(encoding="utf-8")) if names else {}
+    unknown = set(names) - set(commands())
+    if unknown:
+        raise SystemExit(f"no recorded command named {sorted(unknown)}")
     index = {}
     for name, argv in commands().items():
+        if names and name not in names:
+            index[name] = old[name]
+            continue
         code, out, err = run(argv)
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
         index[name] = {"argv": argv, "exit": code, "stderr": err}
-    (GOLDEN / "commands.json").write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
+    index_path.write_text(json.dumps(index, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

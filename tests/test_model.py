@@ -310,3 +310,76 @@ def test_array_holding_dataclasses_compare_and_hash_by_identity():
         assert a != b and not (a == b)  # equal content, other object
         assert hash(a) == hash(a)
         assert {a: 1, b: 2}[a] == 1
+
+
+# -- per-vertex fields: finite and in range, read-only ------------------------
+
+_ENVELOPE = ("m1", "m2", "phi1", "phi2", "psi1", "psi2")
+
+
+def _build(kind, **fields):
+    """The object of ``kind`` on the triangle-pendant graph, every field in
+    range unless given."""
+    g = make_triangle_pendant_graph()
+    if kind == "ExponentField":
+        return ExponentField(g, fields.get("p", 3.0))
+    if kind == "Potential":
+        return Potential(g, fields.get("q", 1.0))
+    if kind == "GrowthEnvelope":
+        return GrowthEnvelope(g, **{k: fields.get(k, 3.0 if k[0] == "m" else 1.0)
+                                    for k in _ENVELOPE})
+    nl = PowerPlus if kind == "PowerPlus" else ArctanPower
+    return nl(g, m=fields.get("m", 3.0), phi=fields.get("phi", 1.0), psi=fields.get("psi", 1.0))
+
+
+# (kind, field, attribute, value in range, value out of range)
+_FIELDS = [
+    ("ExponentField", "p", "values", 3.0, 1.5),
+    ("Potential", "q", "values", 1.0, 0.0),
+    ("PowerPlus", "phi", "phi", 1.0, -1.0),
+    ("PowerPlus", "m", "m", 3.0, 1.5),
+    ("PowerPlus", "psi", "psi", 1.0, 0.0),
+    ("ArctanPower", "m", "m", 3.0, 1.5),
+    ("ArctanPower", "phi", "phi", 1.0, 0.0),
+    ("ArctanPower", "psi", "psi", 1.0, 0.0),
+] + [("GrowthEnvelope", k, k, 3.0 if k[0] == "m" else 1.0, 1.5 if k[0] == "m" else 0.0)
+     for k in _ENVELOPE]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "out of range"])
+@pytest.mark.parametrize("kind, name, attr, good, out", _FIELDS,
+                         ids=[f"{c[0]}.{c[1]}" for c in _FIELDS])
+def test_a_non_finite_or_out_of_range_field_value_names_its_vertex(kind, name, attr, good,
+                                                                   out, bad):
+    labels = make_triangle_pendant_graph().vertices if name == "p" else ("x1", "x2", "x3")
+    vertex = labels[-2]  # a later vertex, so the message must find it
+    values = {x: good for x in labels}
+    values[vertex] = out if bad == "out of range" else float(bad)
+    with pytest.raises(InvariantError, match=rf"^{name}\({vertex}\) = "):
+        _build(kind, **{name: values})
+
+
+@pytest.mark.parametrize("kind, name, attr, good, out", _FIELDS,
+                         ids=[f"{c[0]}.{c[1]}" for c in _FIELDS])
+def test_every_per_vertex_array_is_read_only(kind, name, attr, good, out):
+    obj = _build(kind)
+    arrays = [getattr(obj, attr)]
+    if kind in ("PowerPlus", "ArctanPower"):
+        arrays += [getattr(obj.envelope, k) for k in _ENVELOPE]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = good
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: ExponentField.constant(g, math.nan),
+    lambda g: Potential.constant(g, math.inf),
+    lambda g: PowerPlus(g, 1.0, 4.0, math.nan),
+    lambda g: PowerPlus(g, math.inf, 4.0, 1.0),
+    lambda g: GrowthEnvelope(g, m1=[2.0], m2=[2.0], phi1=[math.nan], phi2=[1.0],
+                             psi1=[1.0], psi2=[1.0]),
+], ids=["p nan", "q inf", "power_plus psi nan", "power_plus phi inf", "envelope phi1 nan"])
+def test_non_finite_constants_are_rejected(build):
+    with pytest.raises(InvariantError, match=r"\(v1\) = "):
+        build(make_path_graph())

@@ -733,8 +733,8 @@ def test_certified_solve_falls_back_to_restarts_when_the_first_descent_stops(mon
 # -- ball convexity certificate ---------------------------------------------------
 
 def _ball_search_by_hand(spec, opts):
-    """The ball points of the full search: the descents from the spike, the
-    origin and each restart, the restarts drawn from ``solve``'s stream, run
+    """The ball points of the full search: the descents from the origin, the
+    spike and each restart, the restarts drawn from ``solve``'s stream, run
     in ``solve``'s batches: on a certified convex ball the origin alone,
     then the spike and the restarts; otherwise all of them at once."""
     radius = instance_constants(spec).n_vertices ** -0.5
@@ -744,10 +744,10 @@ def _ball_search_by_hand(spec, opts):
                 for _ in range(opts.restarts)]
     spike, ball = spike_point(spec).interior(), Ball(radius)
     if ball_convexity_certificate(spec, radius).certified:
-        points = descend_all(spec, [spike] + restarts, ball, opts)
-        points.insert(1, descend(spec, DirichletFunction.zeros(spec.graph), ball, opts))
+        points = [descend(spec, DirichletFunction.zeros(spec.graph), ball, opts)]
+        points += descend_all(spec, [spike] + restarts, ball, opts)
     else:
-        points = descend_all(spec, [spike, np.zeros(n)] + restarts, ball, opts)
+        points = descend_all(spec, [np.zeros(n), spike] + restarts, ball, opts)
     inside = [pt for pt in points if pt.converged and pt.grad_inf <= opts.grad_tol
               and pt.norm < radius * (1 - 1e-9)]
     return points, inside
@@ -783,7 +783,7 @@ def test_convex_ball_falls_back_to_every_start(monkeypatch, opts, minimizer):
     points, inside = _ball_search_by_hand(spec, opts)
     found = [pt for pt in rep.solutions if pt.kind == "Minimizer"]
     if minimizer:
-        assert points[1].value == 0.0 and points[1].iterations == 0
+        assert points[0].value == 0.0 and points[0].iterations == 0
         best = min(inside, key=lambda pt: pt.value)
         assert len(found) == 1 and np.array_equal(found[0].u.values, best.u.values)
     else:

@@ -42,7 +42,6 @@ from .calculus import (
 )
 from .energy import (
     EnergyBreakdown,
-    directional_slope,
     energy,
     energy_value,
     gradient_residual,

@@ -182,31 +182,13 @@ def energy_value(spec: ProblemSpec, u: DirichletFunction | np.ndarray) -> float:
     return energy(spec, u).total
 
 
-def gradient_values(spec: ProblemSpec, uv: np.ndarray) -> np.ndarray:
-    """Gradient of J as a full vertex array (zero on the boundary); its
-    Dirichlet part is half the edge flux summed per row minus per column."""
-    grad = np.zeros(spec.graph.n_vertices)
-    grad[: spec.graph.n_interior] = spec._kernel.gradient_at(uv)
-    return grad
-
-
 def gradient_residual(spec: ProblemSpec, u: DirichletFunction) -> DirichletFunction:
     """Exact gradient of J with respect to the standard basis of A.
 
     Components on the boundary are zero.  A critical point of J is exactly a
     zero of this vector.
     """
-    return DirichletFunction(spec.graph, gradient_values(spec, u.values))
-
-
-def directional_slope(spec: ProblemSpec, u: DirichletFunction, v: DirichletFunction) -> float:
-    """One-sided slope of eps -> J(u + eps v) at eps = 0.
-
-    Computed as the dot product of gradient_residual with v (same summation
-    order), so the basis-direction case reproduces the gradient component
-    bit for bit.
-    """
-    return float(np.dot(gradient_values(spec, u.values), v.values))
+    return DirichletFunction.from_interior(spec.graph, spec._kernel.gradient_at(u.values))
 
 
 def residual_original(spec: ProblemSpec, u: VertexFunction) -> float:

@@ -66,17 +66,6 @@ class Graph:
     def index(self) -> dict[VertexId, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Dense read-only (n, n) weights, 0 for no edge, built on first use.
-
-        For tests and inspection only: it costs O(n^2) memory."""
-        rows, cols, w = self.ordered_pairs
-        dense = np.zeros((self.n_vertices, self.n_vertices))
-        dense[rows, cols] = w
-        dense.setflags(write=False)
-        return dense
-
     def index_of(self, x: VertexId) -> int:
         try:
             return self.index[x]
@@ -217,7 +206,7 @@ def validate_graph(g: Graph) -> ValidationReport:
     t = np.lexsort((rows, cols))
     sym = bool(np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols)
                and np.array_equal(w[t], w))
-    report.add("symmetry", sym, "" if sym else "weights[x, y] != weights[y, x] somewhere")
+    report.add("symmetry", sym, "" if sym else "w(x, y) != w(y, x) for some pair")
     report.add("zero_diagonal", bool(np.all(rows != cols)))
     report.add("connected", n > 0 and _connected(n, rows, cols))
     return report

@@ -124,8 +124,8 @@ def parse_document(text: str, path: str = "<memory>") -> ProblemDocument:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     _require_keys(raw, _TOP_KEYS, {"graph", "p", "q", "nonlinearity", "lambda"}, "problem")
     graph = _parse_graph(raw["graph"])
-    p = ExponentField(graph, _coerce(graph, _field(raw["p"], "p"), graph.vertices, "p"))
-    q = Potential(graph, _coerce(graph, _field(raw["q"], "q"), graph.interior, "q"))
+    p = ExponentField(graph, _field(raw["p"], "p"))
+    q = Potential(graph, _field(raw["q"], "q"))
     nl = _parse_nonlinearity(raw["nonlinearity"], graph)
     lam = _number(raw["lambda"], "lambda")
     if nl.envelope is not None:
@@ -144,19 +144,6 @@ def parse_document(text: str, path: str = "<memory>") -> ProblemDocument:
             raise SchemaError("reference_thresholds: expected an object")
         ref = {str(k): _number(v, f"reference_thresholds.{k}") for k, v in refobj.items()}
     return ProblemDocument(spec=spec, reference_thresholds=ref, path=path)
-
-
-def _coerce(graph: Graph, value, labels, where: str):
-    # dict fields must cover exactly `labels`; scalars broadcast.
-    if isinstance(value, dict):
-        missing = [v for v in labels if v not in value]
-        if missing:
-            raise SchemaError(f"{where}: missing vertices {missing}")
-        extra = [k for k in value if k not in labels]
-        if extra:
-            raise SchemaError(f"{where}: unknown vertices {extra}")
-        return [value[v] for v in labels]
-    return value
 
 
 def load_problem(path: str | Path) -> ProblemDocument:

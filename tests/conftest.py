@@ -28,6 +28,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
+def dense_weights(g):
+    """The (n, n) weight matrix of g in vertex order, 0 for no edge, as the
+    reference loops index it (the library keeps only the ordered pairs)."""
+    rows, cols, w = g.ordered_pairs
+    dense = np.zeros((g.n_vertices, g.n_vertices))
+    dense[rows, cols] = w
+    return dense
+
+
 def make_path_graph(w=1.0):
     """v0 -- v1 -- v2 with v1 interior."""
     return build_graph(["v1"], ["v0", "v2"], [("v0", "v1", w), ("v1", "v2", w)])
@@ -245,7 +254,7 @@ def scalar_equation(spec):
     t -> (sum_y w + q) sp(t, p) - lam f(t)."""
     g = spec.graph
     assert g.n_interior == 1
-    W = float(np.sum(g.weights[0]))
+    W = float(np.sum(dense_weights(g)[0]))
     qv = float(spec.q.values[0])
     pv = float(spec.p.values[0])
 
@@ -300,7 +309,7 @@ def random_star_spec(rng, seedless_guards=True):
         if roots:
             R = roots[-1]
             qv = float(q.values[0])
-            W = float(np.sum(g.weights[0]))
+            W = float(np.sum(dense_weights(g)[0]))
             noise = np.finfo(float).eps * (
                 (W + qv) * (1.0 + R) ** (pv - 1.0)
                 + lam * (f.phi[0] * (1.0 + R) ** (mv - 1.0) + f.psi[0])

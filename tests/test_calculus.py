@@ -17,7 +17,8 @@ from plap import (
 )
 from plap.errors import DomainError, InvariantError, UnknownVertex
 
-from conftest import make_path_graph, make_triangle_pendant_graph, random_dirichlet, random_graph
+from conftest import (dense_weights, make_path_graph, make_triangle_pendant_graph,
+                      random_dirichlet, random_graph)
 
 
 def test_signed_power_values():
@@ -82,9 +83,10 @@ def test_laplacian_quadratic_case_matches_plain_form():
         g = random_graph(rng)
         p = ExponentField.constant(g, 2.0)
         u = VertexFunction(g, rng.uniform(-2, 2, g.n_vertices))
+        W = dense_weights(g)
         for i, x in enumerate(g.vertices):
             plain = sum(
-                g.weights[i, j] * (u.values[j] - u.values[i])
+                W[i, j] * (u.values[j] - u.values[i])
                 for j in range(g.n_vertices)
             )
             assert p_laplacian(g, p, u, x) == pytest.approx(plain, abs=1e-12)

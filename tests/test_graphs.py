@@ -27,6 +27,7 @@ from plap.graphs import Graph
 
 from conftest import (
     cubic_star_spec,
+    dense_weights,
     make_path_graph,
     make_triangle_pendant_graph,
     random_graph,
@@ -202,8 +203,8 @@ def test_ordered_pairs_hold_each_input_edge_twice_in_row_col_order():
         dense = np.zeros((g.n_vertices, g.n_vertices))
         for a, b, wv in edges:
             dense[index[a], index[b]] = dense[index[b], index[a]] = wv
-        assert np.array_equal(g.weights, dense)
-        assert not g.weights.flags.writeable
+        assert np.array_equal(dense_weights(g), dense)
+        assert not any(a.flags.writeable for a in g.ordered_pairs)
         flipped = build_graph(interior, boundary, [(b, a, wv) for a, b, wv in edges[::-1]])
         assert all(np.array_equal(x, y) for x, y in zip(flipped.ordered_pairs, g.ordered_pairs))
 
@@ -231,7 +232,7 @@ def test_grid_64_builds_validates_and_summarizes_in_edge_memory():
     assert peak < 16 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
-def test_library_never_builds_the_dense_weight_view():
+def test_library_caches_nothing_dense_on_the_graph():
     for spec in (cubic_star_spec(lam=0.4), random_power_spec(np.random.default_rng(2))):
         g = spec.graph
         validate_graph(g)
@@ -239,16 +240,17 @@ def test_library_never_builds_the_dense_weight_view():
         lambda_thresholds(instance_constants(spec))
         solve(spec, SolverOptions(restarts=2))
         spec_to_document(spec)
-        assert "weights" not in vars(g)
+        assert set(vars(g)) <= {"interior", "boundary", "ordered_pairs", "index"}
 
 
 def test_weight_matrix_is_symmetric_with_zero_diagonal():
     rng = np.random.default_rng(3)
     for _ in range(10):
         g = random_graph(rng)
-        assert np.array_equal(g.weights, g.weights.T)
-        assert np.all(np.diag(g.weights) == 0.0)
-        assert np.all(g.weights >= 0.0)
+        W = dense_weights(g)
+        assert np.array_equal(W, W.T)
+        assert np.all(np.diag(W) == 0.0)
+        assert np.all(W >= 0.0)
 
 
 def test_vertex_order_is_insertion_order():

@@ -19,7 +19,7 @@ from plap import (
     signed_power,
 )
 
-from conftest import problem_specs
+from conftest import dense_weights, problem_specs
 
 TOL = 1e-13
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -51,9 +51,9 @@ def reference_rate(f, i, t):
 
 def laplacian_terms(spec, u, i):
     """lap_p u(x_i) = sum over y of |u(y)-u(x)|^(p(x)-2) (u(y)-u(x)) w(x,y)."""
-    g, uv, p = spec.graph, u.values, spec.p.values
-    return [signed_power(float(uv[j] - uv[i]), float(p[i])) * float(g.weights[i, j])
-            for j in range(g.n_vertices) if g.weights[i, j] > 0.0]
+    uv, p, W = u.values, spec.p.values, dense_weights(spec.graph)
+    return [signed_power(float(uv[j] - uv[i]), float(p[i])) * float(W[i, j])
+            for j in range(len(uv)) if W[i, j] > 0.0]
 
 
 def residual_terms(spec, u, i):
@@ -91,12 +91,13 @@ def test_p_laplacian_matches_reference_loop_at_every_vertex(case):
 def test_green_pairing_matches_reference_loops(case):
     spec, u, v = case
     g, uv, vv, p = spec.graph, u.values, v.values, spec.p.values
+    W = dense_weights(g)
     lhs_terms = [-2.0 * t * float(vv[i])
                  for i in range(g.n_vertices) for t in laplacian_terms(spec, u, i)]
     rhs_terms = [signed_power(float(uv[c] - uv[r]), float(p[r])) * float(vv[c] - vv[r])
-                 * float(g.weights[r, c])
+                 * float(W[r, c])
                  for r in range(g.n_vertices) for c in range(g.n_vertices)
-                 if g.weights[r, c] > 0.0]
+                 if W[r, c] > 0.0]
     lhs, rhs = green_pairing(g, spec.p, u, v)
     assert_close(lhs, lhs_terms)
     assert_close(rhs, rhs_terms)
@@ -106,8 +107,8 @@ def test_green_pairing_matches_reference_loops(case):
 @given(problems())
 def test_inequality_a5_sum_matches_reference_loop(case):
     spec, u, _ = case
-    g, uv, p = spec.graph, u.values, spec.p.values
-    terms = [abs(float(uv[x] - uv[y])) ** float(p[x]) * float(g.weights[x, y])
+    g, uv, p, W = spec.graph, u.values, spec.p.values, dense_weights(spec.graph)
+    terms = [abs(float(uv[x] - uv[y])) ** float(p[x]) * float(W[x, y])
              for x in range(g.n_vertices) for y in range(g.n_vertices)]
     lhs, _, _ = check_inequality("a5", spec, u)
     assert_close(lhs, terms)

@@ -184,6 +184,19 @@ def test_solve_reports_both_solutions_on_two_solution_grids(side, seed, member):
     assert saddle.value >= rep.sphere_lower_bound > 0.0
 
 
+def test_ball_restarts_find_the_minimizer_on_the_64_grid():
+    # Here the descents from the origin and from the spike both stop at once
+    # (J = 0 and a stalled spike point); only a random restart in the ball
+    # reaches the strictly positive minimizer.
+    spec = two_solution_grid(64, 71, 0)
+    rep = solve(spec)
+    assert sorted(pt.kind for pt in rep.solutions) == ["Minimizer", "Saddle"]
+    minimizer = next(pt for pt in rep.solutions if pt.kind == "Minimizer")
+    assert np.all(minimizer.u.interior() > 0.0)
+    assert verify_positive(spec, minimizer.u).passed
+    assert rep.notes == []
+
+
 def test_minres_matches_a_dense_solve():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
@@ -239,7 +252,8 @@ def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monke
     rep = solve(spec)
     [point] = points
     assert not point.converged
-    assert any(note.startswith("mountain-pass search did not converge") for note in rep.notes)
+    assert (f"candidate kept out of the solution list (J = {point.value:.6g}, "
+            f"gradient sup-norm {point.grad_inf:.3g})") in rep.notes
     assert counts["J"] <= 20 and counts["grad"] + counts["hess"] <= 400, counts
 
 

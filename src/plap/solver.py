@@ -47,6 +47,8 @@ _INIT_STEP = 1.0
 _SCAN_STEPS = 60
 _LMM_STEPS = 200
 _LMM_BACKTRACKS = 10
+_PEAK_WIDTH_MIN = 1e-12
+_NEWTON_EARLY = 1e-1
 _NEWTON_STEPS = 8
 _MINRES_ITER = 500
 _BB_LO, _BB_HI = 1e-10, 1e10
@@ -387,26 +389,32 @@ def _newton(spec: ProblemSpec, v: np.ndarray, g: np.ndarray, grad_tol: float
     return v, g, steps
 
 
-def _peak(spec: ProblemSpec, base: np.ndarray, v: np.ndarray, s: float
-          ) -> tuple[float, np.ndarray, np.ndarray] | None:
+def _peak(spec: ProblemSpec, base: np.ndarray, v: np.ndarray, s: float,
+          move: float | None = None) -> tuple[float, np.ndarray, np.ndarray] | None:
     """The peak of J along the ray base + s v: the + to - sign change of the
-    slope <grad J(base + s v), v>, bracketed from s by doubling or halving and
-    solved by Illinois regula falsi.  None when no sign change is found."""
+    slope <grad J(base + s v), v>, bracketed from s and solved by Illinois
+    regula falsi.  The first probe sits at s (1 + w) or s / (1 + w), where w
+    is twice ``move`` (the relative move of the last peak), and w grows
+    4-fold per failed probe up to 1; without ``move`` the bracket doubles or
+    halves from the start.  None when no sign change lies within a factor
+    2^_SCAN_STEPS of s."""
     def slope(t: float) -> tuple[float, np.ndarray, np.ndarray]:
         w = base + t * v
         g = spec._kernel.gradient(w)
         return float(np.dot(g, v)), w, g
 
     dt = slope(s)[0]
-    factor, t = (2.0 if dt > 0.0 else 0.5), s
-    for _ in range(_SCAN_STEPS):
-        d2 = slope(t * factor)[0]
+    width = 1.0 if move is None else min(max(2.0 * move, _PEAK_WIDTH_MIN), 1.0)
+    t, reach = s, 1.0
+    while reach < 2.0 ** _SCAN_STEPS:
+        t2 = t * (1.0 + width) if dt > 0.0 else t / (1.0 + width)
+        d2 = slope(t2)[0]
         if (d2 > 0.0) != (dt > 0.0):
             break
-        t, dt = t * factor, d2
+        t, dt, reach, width = t2, d2, reach * (1.0 + width), min(4.0 * width, 1.0)
     else:
         return None
-    (lo, dlo), (hi, dhi) = sorted([(t, dt), (t * factor, d2)])
+    (lo, dlo), (hi, dhi) = sorted([(t, dt), (t2, d2)])
     side = 0
     for _ in range(_SCAN_STEPS):
         t = (lo * dhi - hi * dlo) / (dhi - dlo)
@@ -433,11 +441,14 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     The peak of J along the ray u0 + s v starts from the direction v of
     u1 - u0.  Each step sets v <- normalize(v - alpha g_perp / s), where
     g_perp is the part of grad J at the peak orthogonal to v, and backtracks
-    alpha until the peak value falls by the Armijo amount.  Once the gradient
-    is 1e-4 of its value at u1, or no step is accepted, ``_newton`` finishes.
-    The point is converged when its gradient sup-norm is at most grad_tol
-    and its J reaches ``barrier`` (the sphere bound, which no minimizer in the
-    small ball can reach).  Raises ScanExhausted when the start ray has no peak.
+    alpha until the peak value falls by the Armijo amount; a trial peak is
+    bracketed from s with twice the relative move of the last accepted peak.
+    Once the gradient is 1e-1 of its value at u1, one ``_newton`` run from a
+    copy is returned if converged, else the loop goes on.  Once it is 1e-4 of
+    that value, or no step is accepted, ``_newton`` finishes.  The point is
+    converged when its gradient sup-norm is at most grad_tol and its J
+    reaches ``barrier`` (the sphere bound, which no minimizer in the small
+    ball can reach).  Raises ScanExhausted when the start ray has no peak.
     """
     opts = opts or SolverOptions()
     base = u0.interior().copy()
@@ -450,12 +461,21 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     peak = _peak(spec, base, v, s)
     if peak is None:
         raise ScanExhausted(f"no peak of J along the start ray within {_SCAN_STEPS} doublings")
-    s, w, g = peak
+    move, (s, w, g) = abs(peak[0] / s - 1.0), peak
     J = spec._kernel.energy(w)
     alpha = _INIT_STEP
     prev: tuple[np.ndarray, np.ndarray] | None = None
     it = 0
-    while it < _LMM_STEPS and float(np.abs(g).max()) > 1e-4 * g_first:
+    early = True
+    while it < _LMM_STEPS and (g_inf := float(np.abs(g).max())) > 1e-4 * g_first:
+        if early and g_inf <= _NEWTON_EARLY * g_first:
+            # One Newton attempt from a copy; the loop goes on if it fails.
+            early = False
+            wn, gn, steps = _newton(spec, w, g, opts.grad_tol)
+            gn_inf = float(np.abs(gn).max())
+            Jn = spec._kernel.energy(wn) if steps and gn_inf <= opts.grad_tol else J
+            if gn_inf <= opts.grad_tol and (barrier is None or Jn >= barrier):
+                return _as_point(spec, wn, Jn, gn_inf, "Saddle", True, it + steps, gn_inf)
         g_perp = g - float(np.dot(g, v)) * v
         gp2 = float(np.dot(g_perp, g_perp))
         if prev is not None:
@@ -463,7 +483,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
         for _ in range(_LMM_BACKTRACKS):
             trial = v - (alpha / s) * g_perp
             trial /= math.sqrt(trial.dot(trial))
-            peak = _peak(spec, base, trial, s)
+            peak = _peak(spec, base, trial, s, move)
             if peak is not None:
                 Jc = spec._kernel.energy(peak[1])
                 if Jc < J - _ARMIJO_C * alpha * gp2:
@@ -472,7 +492,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
         else:
             break
         prev = w, g_perp
-        v = trial
+        v, move = trial, abs(peak[0] / s - 1.0)
         (s, w, g), J = peak, Jc
         it += 1
     w, g, steps = _newton(spec, w, g, opts.grad_tol)

@@ -11,6 +11,12 @@ go to ``commands.json``.  Paths are written with the placeholders
 others kept as they are:
 
     PYTHONPATH=src python tests/golden/record.py [name ...]
+
+``--check`` writes nothing: it prints the name of each command (every one,
+or those named) whose exit code, stdout or stderr differs byte for byte from
+the stored files, and exits 1 when it printed any:
+
+    PYTHONPATH=src python tests/golden/record.py --check [name ...]
 """
 
 from __future__ import annotations
@@ -74,13 +80,37 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, texts[0], texts[1]
 
 
+def _known(names: list[str]) -> None:
+    unknown = set(names) - set(commands())
+    if unknown:
+        raise SystemExit(f"no recorded command named {sorted(unknown)}")
+
+
+def check(names: list[str]) -> list[str]:
+    """The named commands, or all when none is named, whose exit code,
+    stdout or stderr differs byte for byte from the stored files."""
+    _known(names)
+    index = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
+    differ = []
+    for name, argv in commands().items():
+        if names and name not in names:
+            continue
+        out_path = GOLDEN / f"{name}.out"
+        if name not in index or not out_path.exists():
+            differ.append(name)
+            continue
+        code, out, err = run(argv)
+        if (code, out.encode("utf-8"), err) != (index[name]["exit"], out_path.read_bytes(),
+                                                 index[name]["stderr"]):
+            differ.append(name)
+    return differ
+
+
 def record(names: list[str]) -> None:
     """Record the named commands, or every command when none is named."""
     index_path = GOLDEN / "commands.json"
     old = json.loads(index_path.read_text(encoding="utf-8")) if names else {}
-    unknown = set(names) - set(commands())
-    if unknown:
-        raise SystemExit(f"no recorded command named {sorted(unknown)}")
+    _known(names)
     index = {}
     for name, argv in commands().items():
         if names and name not in names:
@@ -93,4 +123,9 @@ def record(names: list[str]) -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--check"]:
+        differ = check(sys.argv[2:])
+        for name in differ:
+            print(name)
+        sys.exit(1 if differ else 0)
     record(sys.argv[1:])

@@ -1,6 +1,10 @@
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import plap.solver
 from plap import (
@@ -43,6 +47,7 @@ from conftest import (
     problem_specs,
     random_coercive_spec,
     random_dirichlet,
+    random_power_spec,
     scalar_equation,
     two_solution_grid,
     unique_solution_specs,
@@ -207,14 +212,9 @@ def test_minres_matches_a_dense_solve():
     assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-8
 
 
-def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monkeypatch):
-    # On the steep fixture the gradient's rounding floor (J is about 1e17)
-    # lies far above grad_tol, so the search cannot succeed; it must give up
-    # after a fixed number of energy, gradient and Hessian-product
-    # evaluations.
-    from plap import fixture_path, load_problem
-
-    spec = load_problem(fixture_path("triangle_pendant_steep.json")).spec
+def _count_saddle_search(monkeypatch) -> tuple[dict, list]:
+    """Count the J, gradient and Hessian-product evaluations made inside
+    ``mountain_pass`` from here on; also collect the points it returns."""
     counts = {"J": 0, "grad": 0, "hess": 0}
     active = [False]
     points = []
@@ -249,12 +249,124 @@ def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monke
 
     monkeypatch.setattr(EvaluationKernel, "hessian", counting_hessian)
     monkeypatch.setattr(plap.solver, "mountain_pass", traced_search)
+    return counts, points
+
+
+def test_failing_saddle_search_stops_after_a_bounded_number_of_evaluations(monkeypatch):
+    # On the steep fixture the gradient's rounding floor (J is about 1e17)
+    # lies far above grad_tol, so the search cannot succeed; it must give up
+    # after a fixed number of energy, gradient and Hessian-product
+    # evaluations.
+    from plap import fixture_path, load_problem
+
+    spec = load_problem(fixture_path("triangle_pendant_steep.json")).spec
+    counts, points = _count_saddle_search(monkeypatch)
     rep = solve(spec)
     [point] = points
     assert not point.converged
     assert (f"candidate kept out of the solution list (J = {point.value:.6g}, "
             f"gradient sup-norm {point.grad_inf:.3g})") in rep.notes
     assert counts["J"] <= 20 and counts["grad"] + counts["hess"] <= 400, counts
+
+
+def test_saddle_search_on_the_12_grid_stays_within_its_evaluation_budget(monkeypatch):
+    # The warm-started peak brackets and the early Newton attempt bring the
+    # search to 124 gradients and 25 J calls (213 and 40 with cold brackets
+    # and Newton only at 1e-4 of the first gradient).
+    counts, points = _count_saddle_search(monkeypatch)
+    rep = solve(two_solution_grid(12, 71, 0))
+    [point] = points
+    assert point.converged and point in rep.solutions
+    assert counts["grad"] <= 150 and counts["J"] <= 30, counts
+
+
+@pytest.mark.parametrize("fraction", [0.5, 0.9])
+def test_saddle_survives_where_a_bare_newton_handoff_loses_it(fraction):
+    # The 28th draw has 3 interior vertices and per-vertex p in [2.45, 3.82].
+    # Newton started once the peak gradient falls to 1e-1, 1e-2 or 1e-3 of
+    # its first value stalls at a gradient of 4.5e-6 to 3.9e-5 here, so only
+    # the minimax loop that goes on after a failed attempt finds the saddle.
+    rng = np.random.default_rng(123)
+    for _ in range(28):
+        spec = random_power_spec(rng, n_max=12)
+    lambda2 = lambda_thresholds(instance_constants(spec)).lambda2
+    rep = solve(ProblemSpec(spec.graph, spec.p, spec.q, spec.f, fraction * lambda2))
+    assert sorted(pt.kind for pt in rep.solutions) == ["Minimizer", "Saddle"], rep.notes
+
+
+def _saddle_search_start(spec):
+    """The base point, start point and barrier that ``solve`` hands to
+    ``mountain_pass``."""
+    radius = instance_constants(spec).n_vertices ** -0.5
+    low = descend(spec, DirichletFunction.zeros(spec.graph), Ball(radius))
+    u1 = DirichletFunction.from_interior(spec.graph, low.u.interior() + 1.0)
+    barrier = lambda_thresholds(instance_constants(spec)).sphere_lower_bound(spec.lam)
+    return low.u, u1, barrier
+
+
+def test_failed_early_newton_attempt_falls_back_to_the_minimax_loop(monkeypatch):
+    spec = two_solution_grid(5, 7, 0)
+    u0, u1, barrier = _saddle_search_start(spec)
+    direct = mountain_pass(spec, u0, u1, barrier=barrier)
+    newton = plap.solver._newton
+    calls = []
+
+    def failing_first(spec, v, g, grad_tol):
+        calls.append(v)  # the first call, the early attempt, makes no step
+        return (v, g, 0) if len(calls) == 1 else newton(spec, v, g, grad_tol)
+
+    monkeypatch.setattr(plap.solver, "_newton", failing_first)
+    fallback = mountain_pass(spec, u0, u1, barrier=barrier)
+    assert len(calls) == 2  # the early attempt, then the final finish
+    assert direct.converged and fallback.converged
+    assert fallback.value == pytest.approx(direct.value, rel=1e-10, abs=0.0)
+    assert fallback.iterations > direct.iterations
+
+
+@functools.cache
+def _peak_rays(side):
+    """A two-solution grid and the base point of its saddle search."""
+    spec = two_solution_grid(side, 7, 0)
+    return spec, _saddle_search_start(spec)[0].interior()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(side=st.sampled_from([3, 5]), seed=st.integers(0, 2 ** 32 - 1),
+       downhill=st.booleans(), s=st.floats(1e-2, 1e3),
+       width=st.sampled_from([1e-6, 1e-3, 1.0]))
+def test_warm_peak_brackets_find_the_peak_of_the_cold_search(side, seed, downhill, s, width):
+    # A ray with no positive component has no peak: the source term fades
+    # along it and J grows.
+    spec, base = _peak_rays(side)
+    v = np.random.default_rng(seed).standard_normal(base.size)
+    v = (-np.abs(v) if downhill else v) / np.sqrt(v.dot(v))
+    seen = []  # (t, slope) of every probe of the warm search
+
+    def gradient(x):
+        g = spec._kernel.gradient(x)
+        seen.append((float(np.dot(x - base, v)), float(np.dot(g, v))))
+        return g
+
+    recording = SimpleNamespace(_kernel=SimpleNamespace(gradient=gradient))
+    warm = plap.solver._peak(recording, base, v, s, width / 2)
+    cold = plap.solver._peak(spec, base, v, s)
+    assert (warm is None) == (cold is None) == downhill
+    if downhill:
+        return
+    ends = []
+    for _, w, g in (warm, cold):
+        t, d = float(np.dot(w - base, v)), float(np.dot(g, v))
+        ends.append((t, d, spec._kernel.energy(w)))
+    (t, d, J), (t_cold, d_cold, J_cold) = ends
+    # The warm peak meets the stop test inside a bracket of opposite slopes.
+    lo = max(tx for tx, dx in seen if dx > 0.0 and tx <= t)
+    hi = min(tx for tx, dx in seen if dx <= 0.0 and tx >= t)
+    r = warm[2] - d * v
+    assert hi - lo <= 1e-12 * hi or abs(d) <= 1e-3 * np.sqrt(r.dot(r))
+    # Both ends sit on one concave cap of J, so J differs by at most the
+    # larger slope times their distance: the stop test's own tolerance.
+    bound = max(abs(d), abs(d_cold)) * abs(t - t_cold) + 1e-12 * abs(J_cold)
+    assert abs(J - J_cold) <= bound
 
 
 def test_kkt_interior_point():

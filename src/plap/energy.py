@@ -40,7 +40,7 @@ import numpy as np
 
 from .calculus import (DirichletFunction, VertexFunction, _as_values, _signed_power_vec,
                        edge_flux, gather, index_sums, minus_laplacian)
-from .errors import NegativeArgument
+from .errors import NegativeArgument, QuadratureFailure
 from .model import ProblemSpec
 
 
@@ -75,9 +75,20 @@ class EvaluationKernel:
             return np.concatenate((v, self.pad))
         return np.concatenate((v, np.zeros((len(v), self.pad.size))), axis=1)
 
+    def _primitive(self, t: np.ndarray) -> np.ndarray:
+        # F at t >= 0.  Far out, f may overflow and leave the quadrature
+        # without a value: F, and so J, is NaN in that row, and every search
+        # rejects a non-finite J as it rejects an overflow.
+        try:
+            return self.f.primitive_vector(t)
+        except QuadratureFailure:
+            if t.ndim == 1:
+                return np.full(t.shape, np.nan)
+            return np.stack([self._primitive(row) for row in t])
+
     def _source(self, ui: np.ndarray) -> np.ndarray:
         # F at max(t, 0) plus the linear continuation below zero.
-        vals = self.f.primitive_vector(np.maximum(ui, 0.0))
+        vals = self._primitive(np.maximum(ui, 0.0))
         negmask = ui < 0.0
         if negmask.any():
             f0 = self.f.rate_vector(np.zeros_like(ui))
@@ -98,8 +109,12 @@ class EvaluationKernel:
     def energy(self, v: np.ndarray):
         """J at the interior vector v, or a (K,) array for a (K, n) stack."""
         dirichlet, potential, source = self.terms(self.full(v))
-        J = dirichlet + potential - source
-        return J if v.ndim > 1 else float(J)
+        # Where two terms overflow, J is inf - inf: NaN, which the descent
+        # rejects.  Python floats give it silently; numpy needs the errstate.
+        if v.ndim == 1:
+            return float(dirichlet) + float(potential) - float(source)
+        with np.errstate(invalid="ignore"):
+            return dirichlet + potential - source
 
     def _operator(self, edge: np.ndarray, ui: np.ndarray, t: np.ndarray) -> np.ndarray:
         # edge part + q sp(u, p) - lambda f(t) at the interior vertices

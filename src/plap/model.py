@@ -318,22 +318,27 @@ def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
         fvals = n._rate(i, grid)
         lower = env.psi1[i] + env.phi1[i] * grid ** (env.m1[i] - 1.0)
         upper = env.phi2[i] * grid ** (env.m2[i] - 1.0) + env.psi2[i]
-        for t, fv, lo, up in zip(grid, fvals, lower, upper):
-            if fv < lo - f_slack * (1.0 + abs(lo)):
-                report.violations.append(EnvelopeViolation("f_lower", x, float(t), float(fv), float(lo)))
-            if fv > up + f_slack * (1.0 + abs(up)):
-                report.violations.append(EnvelopeViolation("f_upper", x, float(t), float(fv), float(up)))
+        _flag(report.violations, "f", x, grid, fvals, lower, upper, f_slack)
         # Slices of 8 points: a call over all of ``sub`` would hold every
         # panel of every point at once (~0.3 MB of arrays on the default grid).
         Fvals = np.concatenate([n._primitive(i, sub[k:k + 8]) for k in range(0, sub.size, 8)])
         lower = env.psi1[i] * sub + env.phi1[i] / env.m1[i] * sub ** env.m1[i]
         upper = env.phi2[i] / env.m2[i] * sub ** env.m2[i] + env.psi2[i] * sub
-        for t, Fv, lo, up in zip(sub, Fvals, lower, upper):
-            if Fv < lo - F_slack * (1.0 + abs(lo)):
-                report.violations.append(EnvelopeViolation("F_lower", x, float(t), float(Fv), float(lo)))
-            if Fv > up + F_slack * (1.0 + abs(up)):
-                report.violations.append(EnvelopeViolation("F_upper", x, float(t), float(Fv), float(up)))
+        _flag(report.violations, "F", x, sub, Fvals, lower, upper, F_slack)
     return report
+
+
+def _flag(out: list[EnvelopeViolation], which: str, x: VertexId, ts: np.ndarray,
+          vals: np.ndarray, lower: np.ndarray, upper: np.ndarray, slack: float) -> None:
+    # Masks find the violations; only those are visited, per t, lower first.
+    low = vals < lower - slack * (1.0 + np.abs(lower))
+    high = vals > upper + slack * (1.0 + np.abs(upper))
+    for k in np.flatnonzero(low | high):
+        t, v = float(ts[k]), float(vals[k])
+        if low[k]:
+            out.append(EnvelopeViolation(f"{which}_lower", x, t, v, float(lower[k])))
+        if high[k]:
+            out.append(EnvelopeViolation(f"{which}_upper", x, t, v, float(upper[k])))
 
 
 @dataclass(frozen=True, eq=False)

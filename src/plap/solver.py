@@ -2,9 +2,13 @@
 
 ``descend`` is projected-gradient descent that backtracks from a safeguarded
 Barzilai-Borwein trial step (so small stiff problems converge in tens of
-iterations).  A step is accepted by the Armijo test on J or, once J changes
+iterations).  A step is accepted by a nonmonotone Armijo test, against the
+largest of the last 10 accepted J values (Grippo, Lampariello and Lucidi,
+SIAM J. Numer. Anal. 23, 1986; as in the spectral projected gradient method
+of Birgin, Martinez and Raydan, SIAM J. Optim. 10, 2000), or, once J changes
 by less than its rounding floor, by the slope test of Hager and Zhang's
-approximate Wolfe condition (SIAM J. Optim. 16, 2005).
+approximate Wolfe condition (SIAM J. Optim. 16, 2005).  The minimax search's
+peak steps keep the monotone test.
 ``mountain_pass`` is the local minimax method of Li and Zhou (SIAM J. Sci.
 Comput. 23, 2001): it lowers the peak of J along rays from a low point, then
 finishes with Newton steps solved by MINRES on the exact Hessian product.
@@ -12,7 +16,9 @@ finishes with Newton steps solved by MINRES on the exact Hessian product.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +47,7 @@ from .model import ProblemSpec, instance_constants
 
 _STEP_MIN = 1e-18
 _ARMIJO_C = 1e-4
+_NONMONOTONE_WINDOW = 10
 _WOLFE_DELTA = 0.1
 _BACKTRACK = 0.5
 _INIT_STEP = 1.0
@@ -133,7 +140,15 @@ class CriticalPoint:
     grad_inf: float                # unconstrained gradient sup-norm
     converged: bool
     iterations: int
-    residual_orig: float | None = None
+    spec: ProblemSpec = field(repr=False)
+
+    @functools.cached_property
+    def residual_orig(self) -> float | None:
+        """``residual_original`` at u, or None when u < 0 somewhere on S;
+        computed on first read, since ``solve`` drops most points unread."""
+        if not np.all(self.u.interior() >= 0.0):
+            return None
+        return residual_original(self.spec, self.u)
 
 
 def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
@@ -141,14 +156,10 @@ def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
               grad_inf: float) -> CriticalPoint:
     u = DirichletFunction.from_interior(spec.graph, vals_int)
     ui = u.interior()
-    res_orig = None
-    if np.all(ui >= 0.0):
-        res_orig = residual_original(spec, u)
     return CriticalPoint(
         u=u, value=value, residual_inf=residual, kind=kind,
         positive_on_S=bool(np.all(ui > 0.0)), norm=math.sqrt(ui.dot(ui)),
-        grad_inf=grad_inf, converged=converged, iterations=iterations,
-        residual_orig=res_orig,
+        grad_inf=grad_inf, converged=converged, iterations=iterations, spec=spec,
     )
 
 
@@ -180,6 +191,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
     v = _project(constraint, v)
     J = yield _ENERGY, v
     g = yield _GRADIENT, v
+    recent = collections.deque([J], maxlen=_NONMONOTONE_WINDOW)
     prev_v: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     converged = False
@@ -205,6 +217,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
         accepted = False
         new_g = None
         floor = 32.0 * _EPS * (1.0 + abs(J))
+        J_ref = max(recent)
         step = trial
         for _ in range(30):
             if step < _STEP_MIN:
@@ -215,7 +228,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
             if nd2 == 0.0:
                 break  # displacement below representable resolution
             Jc = yield _ENERGY, cand
-            if math.isfinite(Jc) and Jc <= J - (_ARMIJO_C / step) * nd2:
+            if math.isfinite(Jc) and Jc <= J_ref - (_ARMIJO_C / step) * nd2:
                 accepted = True
                 break
             if abs(Jc - J) <= floor:
@@ -231,6 +244,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
         last_step = max(step, _BB_LO)
         prev_v, prev_g = v, g
         v, J = cand, Jc
+        recent.append(J)
         g = new_g if new_g is not None else (yield _GRADIENT, v)
         it += 1
     residual = _residual_measure(constraint, v, g)
@@ -286,12 +300,15 @@ def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = N
             opts: SolverOptions | None = None) -> CriticalPoint:
     """Projected-gradient descent of J from u0.
 
-    A trial point c with step d = c - v is accepted when J(c) <= J(v) -
-    (1e-4/step)|d|^2 (Armijo) or, when |J(c) - J(v)| lies within 32 eps
-    (1 + |J(v)|) so J cannot resolve the decrease, when <grad J(c), d> <=
-    (2 delta - 1) <grad J(v), d> with delta = 0.1: the trapezoid estimate of
-    a delta-sufficient decrease (Hager and Zhang's approximate Wolfe
-    condition).  Otherwise the step halves.
+    A trial point c with step d = c - v is accepted when J(c) <= max(W) -
+    (1e-4/step)|d|^2, W the last 10 accepted J values, the start's included
+    (the nonmonotone Armijo test of Grippo, Lampariello and Lucidi), or,
+    when |J(c) - J(v)| lies within 32 eps (1 + |J(v)|) so J cannot resolve
+    the decrease, when <grad J(c), d> <= (2 delta - 1) <grad J(v), d> with
+    delta = 0.1: the trapezoid estimate of a delta-sufficient decrease (Hager
+    and Zhang's approximate Wolfe condition).  Otherwise the step halves.
+    J may thus rise between iterates, but never above max(W), which passes
+    J(start) only by slope-test steps within the rounding floor.
     Terminates when the (projected) residual sup-norm drops below grad_tol;
     hitting the iteration budget, a residual plateau, a blow-up or 30 rejected
     trials returns the last iterate flagged (converged=False) instead of

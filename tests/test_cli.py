@@ -322,6 +322,30 @@ def test_solve_with_a_huge_potential_does_not_overflow_the_ball_projection(capsy
     assert json.loads(out)["solutions"][0]["kind"] == "Minimizer"
 
 
+def test_solve_where_two_energy_terms_overflow_warns_nothing(tmp_path):
+    # A restart overshoots until the Dirichlet and source terms of J are
+    # both inf; J is then NaN, which the descent rejects, with no warning.
+    doc = {
+        "graph": {"interior": ["w0"], "boundary": ["w1", "w2"],
+                  "edges": [{"u": "w0", "v": "w1", "w": 1.73695947},
+                            {"u": "w0", "v": "w2", "w": 1.78036166},
+                            {"u": "w1", "v": "w2", "w": 2.19686217}]},
+        "p": {"w0": 2.00105724, "w1": 5.91786639, "w2": 4.05260944},
+        "q": {"w0": 0.70333885},
+        "nonlinearity": {"kind": "power_plus",
+                         "parameters": {"phi": 1.38761819, "m": 6.29892013, "psi": 1.01307716}},
+        "lambda": 1.3681456242109884,
+    }
+    path = tmp_path / "inf_minus_inf.json"
+    path.write_text(json.dumps(doc))
+    args = ["-m", "plap", "solve", str(path)]
+    plain = subprocess.run([sys.executable] + args, capture_output=True, text=True)
+    strict = subprocess.run([sys.executable, "-W", "error::RuntimeWarning"] + args,
+                            capture_output=True, text=True)
+    assert strict.stderr == ""
+    assert (strict.returncode, strict.stdout) == (plain.returncode, plain.stdout)
+
+
 def test_certify_rejects_unknown_vertex(capsys, tmp_path):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"u": {"v1": 0.3, "zz": 1.0}}))

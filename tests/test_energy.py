@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plap import (
+    ArctanPower,
     CustomNonlinearity,
     DirichletFunction,
     ExponentField,
@@ -19,6 +20,7 @@ from plap.errors import NegativeArgument
 
 from conftest import (
     constant_source_spec,
+    make_triangle_pendant_graph,
     cubic_star_spec,
     dense_weights,
     problem_specs,
@@ -33,6 +35,19 @@ def test_energy_zero_function():
     eb = energy(spec, DirichletFunction.zeros(spec.graph))
     assert eb.total == 0.0
     assert eb.dirichlet_term == 0.0 and eb.potential_term == 0.0 and eb.source_term == 0.0
+
+
+def test_energy_is_nan_where_the_primitive_has_no_value():
+    # (t + 1)^6 overflows near t = 1e51, so the quadrature of F fails there;
+    # J is NaN in that row alone, as it is where two of its terms overflow.
+    g = make_triangle_pendant_graph()
+    f = ArctanPower(g, m=5.0, phi=1.0, psi=1.0)
+    kernel = ProblemSpec(g, ExponentField.constant(g, 2.0), Potential.constant(g, 1.0),
+                         f, 0.5)._kernel
+    far, near = np.array([1e52, 0.2, 0.3]), np.array([0.1, 0.2, 0.3])
+    assert np.isnan(kernel.energy(far))
+    stacked = kernel.energy(np.stack([far, near]))
+    assert np.isnan(stacked[0]) and stacked[1] == kernel.energy(near)
 
 
 def test_energy_breakdown_spike():

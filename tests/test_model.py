@@ -153,6 +153,46 @@ def test_one_step_shifted_envelope_is_violated():
     assert any(v.which == "f_upper" and v.t == 0.0 for v in report.violations)
 
 
+def _violations_point_by_point(f, grid):
+    # The scan one point at a time over the same values and bounds: per
+    # vertex, f then F, per t, lower first.
+    env, out = f.envelope, []
+    sub = grid[::8] if grid.size > 16 else grid
+    for i, x in enumerate(f.graph.interior):
+        checks = (
+            ("f", 1e-12, grid, f._rate(i, grid),
+             env.psi1[i] + env.phi1[i] * grid ** (env.m1[i] - 1.0),
+             env.phi2[i] * grid ** (env.m2[i] - 1.0) + env.psi2[i]),
+            ("F", 1e-8, sub, f._primitive(i, sub),
+             env.psi1[i] * sub + env.phi1[i] / env.m1[i] * sub ** env.m1[i],
+             env.phi2[i] / env.m2[i] * sub ** env.m2[i] + env.psi2[i] * sub),
+        )
+        for which, slack, ts, values, lower, upper in checks:
+            for t, v, lo, up in zip(ts, values, lower, upper):
+                if v < lo - slack * (1.0 + abs(lo)):
+                    out.append((f"{which}_lower", x, float(t), float(v), float(lo)))
+                if v > up + slack * (1.0 + abs(up)):
+                    out.append((f"{which}_upper", x, float(t), float(v), float(up)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["power_plus", "arctan_power"])
+def test_envelope_report_matches_a_point_by_point_scan(kind):
+    g = make_triangle_pendant_graph()
+    m, phi, psi = triangle_fields(g, lambda i: i + 1.5)
+    f = PowerPlus(g, phi=phi, m=m, psi=psi) if kind == "power_plus" \
+        else ArctanPower(g, m=m, phi=phi, psi=psi)
+    # Offsets above f(x, 0) break the lower bounds near 0, and half the
+    # slope breaks the upper bounds at large t, on every vertex.
+    offset = f._rate(np.arange(3), np.zeros(3)) + 20.0
+    f.envelope = GrowthEnvelope(g, m1=m, m2=m, phi1=phi, phi2=0.5 * f.phi,
+                                psi1=offset, psi2=offset)
+    got = [(v.which, v.vertex, v.t, v.value, v.bound) for v in check_envelope(f).violations]
+    assert got == _violations_point_by_point(f, np.linspace(0.0, 20.0, 512))
+    assert {(w, x) for w, x, *_ in got} == {(w, x) for w in ("f_lower", "f_upper", "F_lower",
+                                                                "F_upper") for x in g.interior}
+
+
 def test_instance_constants_triangle():
     g = make_triangle_pendant_graph()
     p = ExponentField(g, {f"x{i}": float(i + 3) for i in range(1, 7)})

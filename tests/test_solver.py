@@ -76,6 +76,37 @@ def test_descend_monotone_energy():
         prev = val
 
 
+def _floor(J):
+    # The slope test's rounding floor of J: 32 eps (1 + |J|).
+    return 32 * np.finfo(float).eps * (1 + abs(J))
+
+
+def test_descent_accepts_a_rise_in_J_below_the_window_maximum():
+    # A trial point is judged against the largest of the last 10 accepted J
+    # values (Grippo, Lampariello and Lucidi), not against the current one.
+    spec = parse_problem(fixture_path("triangle_pendant.json"))
+    zero = DirichletFunction.zeros(spec.graph)
+    ball = Ball(spec.graph.n_vertices ** -0.5)
+    Js = [0.0] + [descend(spec, zero, ball, SolverOptions(max_iter=k)).value
+                  for k in range(1, 21)]
+    rises = [k for k in range(1, 21) if Js[k] > Js[k - 1] + _floor(Js[k - 1])]
+    assert rises
+    for k in range(1, 21):
+        assert Js[k] <= max(Js[max(0, k - 10):k]) + _floor(Js[k - 1])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(problem_specs(), st.integers(0, 2 ** 32 - 1))
+def test_descent_never_ends_above_its_start(spec, seed):
+    # J may rise between iterates, but never above the window maximum, which
+    # grows past J(start) only by slope-test steps within the rounding floor.
+    start = random_dirichlet(np.random.default_rng(seed), spec.graph, -1.0, 2.0)
+    J0 = energy_value(spec, start)
+    for k in range(1, 13):
+        pt = descend(spec, start, None, SolverOptions(max_iter=k))
+        assert pt.value <= J0 + k * 2 * _floor(J0), (k, pt.value, J0)
+
+
 def test_descend_coercive_multistart():
     rng = np.random.default_rng(41)
     for k in range(8):
@@ -686,6 +717,25 @@ def test_descend_evaluates_energy_about_once_per_iteration(monkeypatch):
     pt = descend(spec, DirichletFunction.zeros(spec.graph))
     assert pt.converged
     assert len(calls) <= 1.5 * pt.iterations, (len(calls), pt.iterations)
+
+
+@pytest.mark.parametrize("name, budget", [("triangle_pendant", 180),
+                                          ("triangle_pendant_steep", 200)])
+def test_solve_on_the_stiff_triangles_stays_within_its_energy_budget(monkeypatch, name, budget):
+    # The ball descents with monotone acceptance spent 237 and 296 J calls,
+    # rejecting Barzilai-Borwein steps that raise J above the current iterate.
+    spec = parse_problem(fixture_path(f"{name}.json"))
+    calls = []
+    energy = EvaluationKernel.energy
+
+    def counting(kernel, v):
+        calls.append(1)
+        return energy(kernel, v)
+
+    monkeypatch.setattr(EvaluationKernel, "energy", counting)
+    rep = solve(spec, SolverOptions(rng_seed=0))
+    assert [pt.kind for pt in rep.solutions] == ["Minimizer"]
+    assert len(calls) <= budget, len(calls)
 
 
 def test_negative_restarts_rejected():

@@ -178,19 +178,23 @@ def _bb_step(s: np.ndarray, y: np.ndarray, default: float) -> float:
     return default
 
 
-# What a descent asks its driver for: J or grad J at an interior vector.
-_ENERGY, _GRADIENT = "J", "grad J"
+# What a descent asks its driver for at an interior vector: J, grad J, or
+# both from one kernel pass.
+_ENERGY, _GRADIENT, _BOTH = "J", "grad J", "J and grad J"
 
 
 def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
-    """The loop of ``descend`` as a generator: it yields (_ENERGY, x) or
-    (_GRADIENT, x), is sent J(x) or grad J(x), and returns (v, J, g,
-    residual, converged, iterations) at its last iterate."""
+    """The loop of ``descend`` as a generator: it yields (_ENERGY, x),
+    (_GRADIENT, x) or (_BOTH, x), is sent J(x), grad J(x) or both, and
+    returns (v, J, g, residual, converged, iterations) at its last iterate.
+    It asks for both at the start and at the first (Barzilai-Borwein) trial
+    of each iteration, which is usually accepted: its gradient then serves
+    the next iteration, or the slope test.  Backtracked trials ask for J
+    alone, and for grad J only when the slope test or acceptance needs it."""
     if not _feasible(constraint, v):
         raise InfeasibleStart(f"start with norm {_norm(v):.6g} violates {constraint}")
     v = _project(constraint, v)
-    J = yield _ENERGY, v
-    g = yield _GRADIENT, v
+    J, g = yield _BOTH, v
     recent = collections.deque([J], maxlen=_NONMONOTONE_WINDOW)
     prev_v: np.ndarray | None = None
     prev_g: np.ndarray | None = None
@@ -215,11 +219,10 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
             break
         trial = last_step if prev_v is None else _bb_step(v - prev_v, g - prev_g, last_step)
         accepted = False
-        new_g = None
         floor = 32.0 * _EPS * (1.0 + abs(J))
         J_ref = max(recent)
         step = trial
-        for _ in range(30):
+        for attempt in range(30):
             if step < _STEP_MIN:
                 break
             cand = _project(constraint, v - step * g)
@@ -227,16 +230,19 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
             nd2 = float(np.dot(delta, delta))
             if nd2 == 0.0:
                 break  # displacement below representable resolution
-            Jc = yield _ENERGY, cand
+            if attempt == 0:
+                Jc, gc = yield _BOTH, cand
+            else:
+                Jc, gc = (yield _ENERGY, cand), None
             if math.isfinite(Jc) and Jc <= J_ref - (_ARMIJO_C / step) * nd2:
                 accepted = True
                 break
             if abs(Jc - J) <= floor:
                 # J cannot resolve the decrease; judge it by the slope.
-                gc = yield _GRADIENT, cand
+                if gc is None:
+                    gc = yield _GRADIENT, cand
                 if np.dot(gc, delta) <= (2.0 * _WOLFE_DELTA - 1.0) * np.dot(g, delta):
                     accepted = True
-                    new_g = gc
                     break
             step *= _BACKTRACK
         if not accepted:
@@ -245,7 +251,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
         prev_v, prev_g = v, g
         v, J = cand, Jc
         recent.append(J)
-        g = new_g if new_g is not None else (yield _GRADIENT, v)
+        g = gc if gc is not None else (yield _GRADIENT, v)
         it += 1
     residual = _residual_measure(constraint, v, g)
     return v, J, g, residual, converged or residual <= opts.grad_tol, it
@@ -254,14 +260,17 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
 def descend_all(spec: ProblemSpec, starts: list[np.ndarray], constraint: Constraint = None,
                 opts: SolverOptions | None = None) -> list[CriticalPoint]:
     """``descend`` from each interior start vector, the descents run in lock
-    step: each round answers every pending J request with one kernel call
-    on the (K, n) stack of their points, and every grad J request with one
-    more.  A descent that stops drops out; once one is left, it calls the
-    kernel on its own vectors.  Returns the points in the order of
-    ``starts``; raises InfeasibleStart before any evaluation if a start
-    violates the constraint."""
+    step: each round answers the pending requests of each kind (J, grad J,
+    or both, which the descents make at their starts and first trials) with
+    one kernel call on the (K, n) stack of their points.  A descent that
+    stops drops out; once one is left, it calls the kernel on its own
+    vectors.  Returns the points in the order of ``starts``; raises
+    InfeasibleStart before any evaluation if a start violates the
+    constraint."""
     opts = opts or SolverOptions()
     kernel = spec._kernel
+    evaluate = {_ENERGY: kernel.energy, _GRADIENT: kernel.gradient,
+                _BOTH: kernel.energy_gradient}
     lanes = [_descent(constraint, np.asarray(s, dtype=float), opts) for s in starts]
     ends: list = [None] * len(lanes)
     # For ``_norm``, whose sum of squares may overflow.  Only constrained
@@ -271,13 +280,17 @@ def descend_all(spec: ProblemSpec, starts: list[np.ndarray], constraint: Constra
         live = list(range(len(lanes)))
         while len(live) > 1:
             answers = []
-            for kind, evaluate in ((_ENERGY, kernel.energy), (_GRADIENT, kernel.gradient)):
+            for kind, kernel_call in evaluate.items():
                 ks = [k for k in live if asks[k][0] is kind]
                 if len(ks) == 1:
-                    answers.append((ks[0], evaluate(asks[ks[0]][1])))
+                    answers.append((ks[0], kernel_call(asks[ks[0]][1])))
                 elif ks:
-                    values = evaluate(np.stack([asks[k][1] for k in ks]))
-                    answers += zip(ks, values.tolist() if kind is _ENERGY else values)
+                    values = kernel_call(np.stack([asks[k][1] for k in ks]))
+                    if kind is _ENERGY:
+                        values = values.tolist()
+                    elif kind is _BOTH:
+                        values = zip(values[0].tolist(), values[1])
+                    answers += zip(ks, values)
             for k, value in answers:
                 try:
                     asks[k] = lanes[k].send(value)
@@ -288,8 +301,7 @@ def descend_all(spec: ProblemSpec, starts: list[np.ndarray], constraint: Constra
             lane, (kind, x) = lanes[k], asks[k]
             try:
                 while True:
-                    kind, x = lane.send(kernel.energy(x) if kind is _ENERGY
-                                        else kernel.gradient(x))
+                    kind, x = lane.send(evaluate[kind](x))
             except StopIteration as stop:
                 ends[k] = stop.value
     return [_as_point(spec, v, J, residual, "Minimizer", converged, it, float(np.abs(g).max()))

@@ -329,12 +329,11 @@ def triangle_graph():
     return make_triangle_pendant_graph()
 
 
-def two_solution_grid(side, seed, member):
-    """The ``member``-th side x side two-solution grid of ``seed``: the
-    4-neighbour grid generator of the benchmark's ``grid_two_solution``
-    workload (outer ring without corners as the boundary, weights in
-    [0.5, 1.5] and q in [0.5, 2] from the stream keyed by (seed, side,
-    member)), with p = 2, f = t^3 + 0.1 and lambda = lambda2 / 2."""
+def _grid(side, seed, member, p, phi, m, psi):
+    """The ``member``-th side x side grid of ``seed`` as the benchmark's grid
+    workloads draw it: 4-neighbour grid, outer ring without corners as the
+    boundary, weights in [0.5, 1.5] and q in [0.5, 2] from the stream keyed
+    by (seed, side, member), uniform p, f = phi t^(m-1) + psi and lambda = 1."""
     rng = np.random.default_rng([seed, side, member])
 
     def lab(i, j):
@@ -357,8 +356,19 @@ def two_solution_grid(side, seed, member):
     qs = rng.uniform(0.5, 2.0, len(interior))
     g = build_graph(interior, boundary,
                     [(a, b, float(w)) for (a, b), w in zip(pairs, weights)])
-    p = ExponentField.constant(g, 2.0)
-    q = Potential(g, qs)
-    f = PowerPlus(g, phi=1.0, m=4.0, psi=0.1)
-    lambda2 = lambda_thresholds(instance_constants(ProblemSpec(g, p, q, f, 1.0))).lambda2
-    return ProblemSpec(g, p, q, f, 0.5 * lambda2)
+    return ProblemSpec(g, ExponentField.constant(g, p), Potential(g, qs),
+                       PowerPlus(g, phi=phi, m=m, psi=psi), 1.0)
+
+
+def direct_grid(side, seed, member):
+    """The ``grid_direct`` workload's grid (``_grid``): p = 3 and f = t^1.5 + 1,
+    so every lambda is in the direct regime; lambda = 1."""
+    return _grid(side, seed, member, 3.0, 1.0, 2.5, 1.0)
+
+
+def two_solution_grid(side, seed, member):
+    """The ``grid_two_solution`` workload's grid (``_grid``): p = 2, f = t^3 +
+    0.1 and lambda = lambda2 / 2."""
+    spec = _grid(side, seed, member, 2.0, 1.0, 4.0, 0.1)
+    lambda2 = lambda_thresholds(instance_constants(spec)).lambda2
+    return ProblemSpec(spec.graph, spec.p, spec.q, spec.f, 0.5 * lambda2)

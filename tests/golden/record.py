@@ -1,10 +1,12 @@
 """Record the reference outputs that ``tests/test_golden.py`` compares against.
 
-Runs 38 ``plap`` commands in-process: validate, bounds, bounds --gamma 14.7,
+Runs 40 ``plap`` commands in-process: validate, bounds, bounds --gamma 14.7,
 solve, solve --seed 0, solve --gamma 14.7 and solve --seed 3 --gamma 14.7 on
-each bundled fixture, the 16-step ``cubic_path`` sweep, certify on the
-``cubic_path`` minimizer and on u(v1) = 1e300, and seven failing commands
-that pin the exit codes 1 (usage), 2 (parse/validation) and 3 (solve).
+each bundled fixture, solve on two seeded 4x4 grids with uniform p (one in
+the direct regime, one at lambda2 / 2 with two solutions), the 16-step
+``cubic_path`` sweep, certify on the ``cubic_path`` minimizer and on u(v1) =
+1e300, and seven failing commands that pin the exit codes 1 (usage), 2
+(parse/validation) and 3 (solve).
 Each command's stdout goes to ``<name>.out``; its argv, exit code and stderr
 go to ``commands.json``.  Paths are written with the placeholders
 ``{fixtures}`` and ``{golden}``.  Named commands are recorded alone, the
@@ -29,6 +31,7 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent
 FIXTURES = ("cubic_path", "linear_path", "triangle_pendant", "triangle_pendant_steep")
+GRIDS = ("grid4_direct", "grid4_two_solution")
 
 
 def commands() -> dict[str, list[str]]:
@@ -42,6 +45,8 @@ def commands() -> dict[str, list[str]]:
         out[f"solve-{name}-seed0"] = ["solve", path, "--seed", "0"]
         out[f"solve-{name}-gamma"] = ["solve", path, "--gamma", "14.7"]
         out[f"solve-{name}-seed3-gamma"] = ["solve", path, "--seed", "3", "--gamma", "14.7"]
+    for name in GRIDS:
+        out[f"solve-{name}"] = ["solve", f"{{golden}}/{name}.json"]
     out["sweep-cubic_path"] = ["sweep", "{fixtures}/cubic_path.json", "--lambda-min", "0.05",
                                "--lambda-max", "1.0", "--steps", "16"]
     for name in ("cubic_path_minimizer", "cubic_path_huge"):

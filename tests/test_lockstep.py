@@ -1,9 +1,11 @@
 """Stacked evaluation and lock-step descents against their one-vector forms.
 
-``EvaluationKernel.energy``/``.gradient`` on a (K, n) stack run the same
-formulas as K single calls, and ``descend_all`` runs the same descents as K
-calls to ``descend``.  The results are bit-identical wherever numpy runs the
-same floating-point loop for a row of the stack as for a single vector.  It
+``EvaluationKernel.energy``/``.gradient``/``.energy_gradient`` on a (K, n)
+stack run the same formulas as K single calls, ``energy_gradient`` gives the
+values of ``energy`` and ``gradient`` from one pass, and ``descend_all`` runs
+the same descents as K calls to ``descend``.  The results are bit-identical
+wherever numpy runs the same floating-point loop for a row of the stack as
+for a single vector.  It
 does not when a row holds one value (n = 1): a length-1 row of a stack is a
 strided loop, which numpy's power evaluates with the scalar libm routine,
 while a length-1 vector takes the SIMD routine, and the two can differ in the
@@ -12,15 +14,20 @@ tests allow ROUND relative to the size of the terms, and for descents the
 same stopping decisions with converged points within 1e-6.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plap import (
     Annulus,
+    ArctanPower,
     Ball,
     CustomNonlinearity,
     DirichletFunction,
+    ExponentField,
+    Potential,
     ProblemSpec,
     SolverOptions,
     descend,
@@ -31,7 +38,7 @@ from plap import (
 from plap.energy import EvaluationKernel
 from plap.errors import InfeasibleStart
 
-from conftest import problem_specs
+from conftest import direct_grid, make_triangle_pendant_graph, problem_specs
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 ROUND = 1e-14
@@ -78,6 +85,44 @@ def test_stacked_kernel_calls_match_single_calls(spec, k):
 
 
 @SETTINGS
+@given(specs(), st.integers(1, 6))
+def test_fused_pass_matches_energy_and_gradient(spec, k):
+    kernel = spec._kernel
+    stack = _stack(spec, k)
+    stack[0, 0] = -0.25  # the source's linear continuation below zero
+    energies, gradients = kernel.energy_gradient(stack)
+    assert energies.shape == (k,) and gradients.shape == stack.shape
+    assert energies.tobytes() == kernel.energy(stack).tobytes()
+    assert gradients.tobytes() == kernel.gradient(stack).tobytes()
+    for row, J, g in zip(stack, energies, gradients):
+        J1, g1 = kernel.energy_gradient(row)
+        assert J1 == kernel.energy(row) and g1.tobytes() == kernel.gradient(row).tobytes()
+        if spec.graph.n_interior > 1:
+            assert J == J1 and g.tobytes() == g1.tobytes()
+        else:
+            size = _terms_size(kernel, row)
+            assert abs(J - J1) <= ROUND * size
+            assert np.abs(g - g1).max() <= ROUND * size
+
+
+def test_fused_pass_gives_nan_where_the_primitive_has_no_value():
+    # (t + 1)^6 overflows near t = 1e51: F's quadrature fails in that row
+    # alone, J is NaN there, and no RuntimeWarning is raised.
+    g = make_triangle_pendant_graph()
+    f = ArctanPower(g, m=5.0, phi=1.0, psi=1.0)
+    kernel = ProblemSpec(g, ExponentField.constant(g, 2.0), Potential.constant(g, 1.0),
+                         f, 0.5)._kernel
+    far, near = np.array([1e52, 0.2, 0.3]), np.array([0.1, -0.2, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        J, grad = kernel.energy_gradient(far)
+        energies, gradients = kernel.energy_gradient(np.stack([far, near]))
+    assert np.isnan(J) and grad.tobytes() == kernel.gradient(far).tobytes()
+    assert np.isnan(energies[0]) and energies[1] == kernel.energy(near)
+    assert gradients.tobytes() == kernel.gradient(np.stack([far, near])).tobytes()
+
+
+@SETTINGS
 @given(specs(), st.integers(2, 5), st.booleans())
 def test_lock_step_descents_match_single_descents(spec, k, annulus):
     # Bounded constraints: on some generated instances J is unbounded below.
@@ -104,18 +149,31 @@ def test_lock_step_descents_match_single_descents(spec, k, annulus):
                 assert np.abs(pt.u.values - one.u.values).max() <= 1e-6
 
 
-def _count_kernel_calls(monkeypatch):
-    """The array shape of every J and grad J call, by kind."""
-    calls = {"energy": [], "gradient": []}
-    for name, shapes in calls.items():
+KINDS = ("energy", "gradient", "energy_gradient")
+
+
+def _on_kernel_calls(monkeypatch, record):
+    """Call record(kind, v) before every J, grad J and fused kernel call."""
+    for name in KINDS:
         method = getattr(EvaluationKernel, name)
 
-        def counting(kernel, v, method=method, shapes=shapes):
-            shapes.append(v.shape)
+        def recording(kernel, v, method=method, name=name):
+            record(name, v)
             return method(kernel, v)
 
-        monkeypatch.setattr(EvaluationKernel, name, counting)
+        monkeypatch.setattr(EvaluationKernel, name, recording)
+
+
+def _count_kernel_calls(monkeypatch):
+    """The array shape of every J, grad J and fused call, by kind."""
+    calls = {name: [] for name in KINDS}
+    _on_kernel_calls(monkeypatch, lambda name, v: calls[name].append(v.shape))
     return calls
+
+
+def _clear(calls):
+    for shapes in calls.values():
+        shapes.clear()
 
 
 def test_one_batched_call_of_each_kind_per_round(monkeypatch):
@@ -126,17 +184,18 @@ def test_one_batched_call_of_each_kind_per_round(monkeypatch):
     for s in starts:
         descend(spec, DirichletFunction.from_interior(spec.graph, s))
         singles.append(sum(map(len, calls.values())))
-        calls["energy"].clear(), calls["gradient"].clear()
+        _clear(calls)
     # a single start never stacks
     descend(spec, DirichletFunction.from_interior(spec.graph, starts[0]))
     assert {len(shape) for shapes in calls.values() for shape in shapes} == {1}
-    calls["energy"].clear(), calls["gradient"].clear()
+    _clear(calls)
     descend_all(spec, starts)
     # every round answers all lanes with at most one call of each kind, and
     # there are no more rounds than the longest descent has requests
     for shapes in calls.values():
         assert len(shapes) <= max(singles)
-    assert (6, spec.graph.n_interior) in calls["energy"]
+    # the first round asks every start for J and grad J in one fused call
+    assert calls["energy_gradient"][0] == (6, spec.graph.n_interior)
 
 
 def test_descend_all_checks_every_start_before_evaluating(monkeypatch):
@@ -145,5 +204,18 @@ def test_descend_all_checks_every_start_before_evaluating(monkeypatch):
     starts = [np.zeros(3), np.full(3, 2.0)]
     with pytest.raises(InfeasibleStart):
         descend_all(spec, starts, Ball(1.0))
-    assert calls == {"energy": [], "gradient": []}
+    assert calls == {name: [] for name in KINDS}
     assert descend_all(spec, []) == []
+
+
+def test_descent_evaluates_each_accepted_point_in_one_kernel_call(monkeypatch):
+    # Every point the descent evaluates is its start or a trial; an accepted
+    # first trial brings its gradient along, and each rejected trial costs
+    # the next trial's J and, should that be accepted, one grad J call.
+    spec = direct_grid(16, 0, 0)
+    points = []
+    _on_kernel_calls(monkeypatch, lambda name, v: points.append(v.tobytes()))
+    pt = descend(spec, DirichletFunction.zeros(spec.graph))
+    assert pt.converged
+    rejected = len(set(points)) - 1 - pt.iterations
+    assert len(points) <= pt.iterations + 2 * rejected + 1

@@ -9,7 +9,7 @@ Library layout:
 - ``quadrature``: the primitive F of nonlinearities without a closed form.
 - ``energy``: the action functional, exact gradient, solution residuals.
 - ``bounds``: norm inequalities, lambda thresholds, regime classification.
-- ``solver``: constrained descent, mountain pass, KKT, positivity.
+- ``solver``: ball-constrained descent, mountain pass, positivity.
 - ``problem_io``: JSON problem documents, fixtures, solution parsing.
 - ``reporting``: JSON reports, certificates and CSV cells.
 - ``cli``: the ``plap`` command.
@@ -71,7 +71,6 @@ from .problem_io import (
     spec_to_document,
 )
 from .solver import (
-    Annulus,
     Ball,
     CriticalPoint,
     PositivityReport,
@@ -79,7 +78,6 @@ from .solver import (
     SolverOptions,
     descend,
     descend_all,
-    kkt_multipliers,
     mountain_pass,
     solve,
     spike_point,

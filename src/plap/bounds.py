@@ -209,7 +209,8 @@ def classify_regime(
     """Which existence/multiplicity statements apply to (constants, lambda, gamma).
 
     Tags are independent; several may hold at once.  Instances without a
-    growth envelope get the empty tag set.
+    growth envelope get the empty tag set.  Raises GammaTooSmall when gamma
+    is given and does not exceed gamma0.
     """
     if lam <= 0:
         raise DomainError("lambda must be positive")
@@ -217,6 +218,8 @@ def classify_regime(
     if not c.has_envelope:
         return Regime(frozenset())
     th = lambda_thresholds(c)
+    if gamma is not None and gamma <= th.gamma0:
+        raise GammaTooSmall(f"gamma = {gamma:g} must exceed gamma0 = {th.gamma0:.6g}")
     if c.m2_plus < c.p_minus:
         tags.add(RegimeTag.DIRECT_ALL_LAMBDA)
     if c.m2_plus == c.p_minus and lam < th.lambda1:
@@ -225,9 +228,8 @@ def classify_regime(
         tags.add(RegimeTag.EKELAND)
     if c.m1_minus > c.pbar_plus and lam < th.lambda2:
         tags.add(RegimeTag.TWO_SOLUTIONS)
-    if gamma is not None and c.m1_minus > c.pbar_plus:
-        if gamma > th.gamma0 and lam < th.lambda3(gamma):
-            tags.add(RegimeTag.TWO_SOLUTIONS_KKT)
+    if gamma is not None and c.m1_minus > c.pbar_plus and lam < th.lambda3(gamma):
+        tags.add(RegimeTag.TWO_SOLUTIONS_KKT)
     return Regime(frozenset(tags))
 
 

@@ -126,12 +126,8 @@ def _cmd_bounds(args) -> int:
     doc = load_problem(args.file)
     spec = doc.spec
     c = instance_constants(spec)
-    th = lambda_thresholds(c) if c.has_envelope else None
-    if args.gamma is not None and th is not None and args.gamma <= th.gamma0:
-        raise GammaTooSmall(
-            f"--gamma {args.gamma:g} must exceed gamma0 = {th.gamma0:.6g}"
-        )
     regime = classify_regime(c, spec.lam, args.gamma)
+    th = lambda_thresholds(c) if c.has_envelope else None
     th_sec = thresholds_section(th, spec.lam, args.gamma)
     out = {
         "tool": tool_section(),

@@ -58,7 +58,7 @@ class QuadratureFailure(PlapError):
 
 
 class GammaTooSmall(PlapError):
-    """Annulus radius gamma must exceed gamma0."""
+    """The radius gamma of lambda3(gamma) must exceed gamma0."""
 
 
 class DegenerateExponent(PlapError):
@@ -76,10 +76,6 @@ class SolverError(PlapError):
 
 
 class InfeasibleStart(SolverError):
-    pass
-
-
-class InfeasiblePoint(SolverError):
     pass
 
 

@@ -17,7 +17,7 @@ from typing import Any
 from . import __version__
 from .bounds import LambdaThresholds
 from .calculus import VertexFunction, norm
-from .errors import DegenerateExponent, GammaTooSmall
+from .errors import DegenerateExponent
 from .model import InstanceConstants, ProblemSpec, instance_constants
 from .solver import CriticalPoint, PositivityReport, SolveReport
 
@@ -75,10 +75,7 @@ def thresholds_section(th: LambdaThresholds | None, lam: float,
         sec["t0"] = None
     if gamma is not None:
         sec["gamma"] = gamma
-        try:
-            sec["lambda3"] = th.lambda3(gamma)
-        except GammaTooSmall:
-            sec["lambda3"] = None
+        sec["lambda3"] = th.lambda3(gamma)
     return sec
 
 
@@ -129,7 +126,6 @@ def solve_report_document(spec: ProblemSpec, rep: SolveReport, gamma: float | No
         "ball_convexity": dataclasses.asdict(rep.ball_convexity),
         "solutions": [solution_section(pt) for pt in rep.solutions],
         "sphere_lower_bound": rep.sphere_lower_bound,
-        "kkt": None if rep.kkt is None else dataclasses.asdict(rep.kkt),
         "diagnostics": {"notes": list(rep.notes)},
     }
     cmp_sec = reference_comparison(reference, th_sec)

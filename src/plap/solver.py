@@ -39,7 +39,6 @@ from .energy import residual_original
 from .errors import (
     ConstructionFailed,
     DomainError,
-    InfeasiblePoint,
     InfeasibleStart,
     ScanExhausted,
 )
@@ -60,6 +59,7 @@ _NEWTON_STEPS = 8
 _MINRES_ITER = 500
 _BB_LO, _BB_HI = 1e-10, 1e10
 _NORM_BLOWUP = 1e10
+_FEASIBLE_TOL = 1e-9
 _EPS = np.finfo(float).eps
 
 
@@ -86,13 +86,7 @@ class Ball:
     radius: float
 
 
-@dataclass(frozen=True)
-class Annulus:
-    zeta: float
-    gamma: float
-
-
-Constraint = Ball | Annulus | None
+Constraint = Ball | None
 
 
 def _norm(v: np.ndarray) -> float:
@@ -105,28 +99,13 @@ def _project(constraint: Constraint, v: np.ndarray) -> np.ndarray:
     if constraint is None:
         return v
     nv = _norm(v)
-    if isinstance(constraint, Ball):
-        if nv <= constraint.radius:
-            return v
-        return v * (constraint.radius / nv)
-    if constraint.zeta <= nv <= constraint.gamma:
-        return v
-    target = constraint.zeta if nv < constraint.zeta else constraint.gamma
-    if nv == 0.0:
-        # Radial projection is undefined at the origin; use a fixed direction.
-        out = np.zeros_like(v)
-        out[0] = target
-        return out
-    return v * (target / nv)
+    return v if nv <= constraint.radius else v * (constraint.radius / nv)
 
 
-def _feasible(constraint: Constraint, v: np.ndarray, tol: float = 1e-9) -> bool:
+def _feasible(constraint: Constraint, v: np.ndarray) -> bool:
     if constraint is None:
         return True
-    nv = _norm(v)
-    if isinstance(constraint, Ball):
-        return nv <= constraint.radius * (1 + tol) + tol
-    return constraint.zeta * (1 - tol) - tol <= nv <= constraint.gamma * (1 + tol) + tol
+    return _norm(v) <= constraint.radius * (1 + _FEASIBLE_TOL) + _FEASIBLE_TOL
 
 
 @dataclass(eq=False)
@@ -531,29 +510,6 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     return _as_point(spec, w, J, g_inf, "Saddle", converged, it + steps, g_inf)
 
 
-def kkt_multipliers(spec: ProblemSpec, u: DirichletFunction, zeta: float, gamma: float
-                    ) -> tuple[float, float]:
-    """Multipliers (sigma, theta) for the annulus constraints at u, kappa = 1.
-
-    sigma = max(0, -<g,u>/||u||^2) when u sits on the outer sphere (within
-    1e-8), theta = max(0, <g,u>/||u||^2) on the inner sphere, both zero in
-    the open annulus; complementary slackness holds by construction.
-    """
-    ui = u.interior()
-    nu = math.sqrt(ui.dot(ui))
-    tol = 1e-8
-    if not (zeta - tol * (1 + zeta) <= nu <= gamma + tol * (1 + gamma)):
-        raise InfeasiblePoint(f"||u|| = {nu:.9g} outside [{zeta:.6g}, {gamma:.6g}]")
-    g = spec._kernel.gradient(ui)
-    gu = float(np.dot(g, ui))
-    sigma = theta = 0.0
-    if abs(nu - gamma) <= tol * (1 + gamma):
-        sigma = max(0.0, -gu / nu ** 2)
-    if abs(nu - zeta) <= tol * (1 + zeta):
-        theta = max(0.0, gu / nu ** 2)
-    return sigma, theta
-
-
 @dataclass
 class PositivityReport:
     boundary_zero: bool
@@ -588,15 +544,6 @@ def verify_positive(spec: ProblemSpec, u: DirichletFunction) -> PositivityReport
 
 
 @dataclass
-class KKTInfo:
-    sigma: float
-    theta: float
-    kappa: float
-    norm_u: float
-    stationarity_inf: float
-
-
-@dataclass
 class SolveReport:
     regime: Regime
     uniqueness: UniquenessCertificate
@@ -604,7 +551,6 @@ class SolveReport:
     thresholds: LambdaThresholds | None
     solutions: list[CriticalPoint]
     sphere_lower_bound: float | None
-    kkt: KKTInfo | None
     notes: list[str] = field(default_factory=list)
     seed: int = 0
 
@@ -630,14 +576,14 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     Direct regimes run a multistart unconstrained descent; the small-ball
     regime descends inside the ball from a negative-energy spike and random
     starts; the two-solution regimes add a mountain-pass search toward a
-    second critical point (and, with gamma, an annulus-constrained
-    minimization with KKT multipliers).  When ``uniqueness_certificate``
+    second critical point.  gamma only decides the ``TwoSolutionsKKT`` tag,
+    which runs the same two searches; ``classify_regime`` raises
+    GammaTooSmall when gamma <= gamma0.  When ``uniqueness_certificate``
     holds, the unconstrained descent from zero that converges is the only
     critical point, and the random restarts are skipped.  When
     ``ball_convexity_certificate`` holds, the ball descent from zero that
     converges strictly inside the ball with J < 0 is the only minimizer
-    there, and the spike and restart descents are skipped; their starts are
-    still drawn, so the annulus starts read the same stream.  Each set of
+    there, and the spike and restart descents are skipped.  Each set of
     independent starts runs as one ``descend_all`` batch.  Sub-operation
     failures become notes; partial results are returned flagged rather than
     raised.
@@ -659,7 +605,6 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
 
     candidates: list[CriticalPoint] = []
     sphere_bound: float | None = None
-    kkt_info: KKTInfo | None = None
 
     def critical(pt: CriticalPoint) -> bool:
         return pt.converged and pt.grad_inf <= opts.grad_tol
@@ -682,13 +627,13 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
                 f"sphere lower bound {sphere_bound:.6g} is not positive; "
                 f"separating barrier not certified"
             )
-        restarts = [_random_direction(rng, n) * radius * rng.uniform(0.05, 0.95)
-                    for _ in range(opts.restarts)]
 
         def inside(pt: CriticalPoint) -> bool:
             return critical(pt) and pt.norm < radius * (1 - 1e-9)
 
         def spike_and_restarts() -> list[np.ndarray]:
+            restarts = [_random_direction(rng, n) * radius * rng.uniform(0.05, 0.95)
+                        for _ in range(opts.restarts)]
             try:
                 return [spike_point(spec).interior()] + restarts
             except ConstructionFailed as exc:
@@ -719,33 +664,6 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
                 candidates.append(saddle)
             except ScanExhausted as exc:
                 notes.append(f"mountain-pass construction failed: {exc}")
-        if regime.has(RegimeTag.TWO_SOLUTIONS_KKT) and gamma is not None:
-            zeta = min(max((1.0 + gamma) / 2.0, 1.0 + 1e-9), gamma - 1e-12)
-            ann = Annulus(zeta, gamma)
-            ann_starts = [np.full(n, zeta / math.sqrt(n))]
-            for _ in range(max(2, opts.restarts // 2)):
-                ann_starts.append(_random_direction(rng, n) * rng.uniform(zeta, gamma))
-            ann_points = descend_all(spec, ann_starts, ann, opts)
-            best_ann = min(ann_points, key=lambda pt: pt.value)
-            try:
-                sigma, theta = kkt_multipliers(spec, best_ann.u, zeta, gamma)
-                g = spec._kernel.gradient(best_ann.u.interior())
-                stat = g + (sigma - theta) * best_ann.u.interior()
-                kkt_info = KKTInfo(sigma, theta, 1.0, best_ann.norm,
-                                   float(np.abs(stat).max()))
-                if sigma > 0.0:
-                    notes.append(
-                        f"annulus minimizer sits on the outer sphere (sigma = {sigma:.6g})"
-                    )
-                if critical(best_ann):
-                    candidates.append(best_ann)
-                else:
-                    notes.append(
-                        f"annulus minimizer is constraint-active "
-                        f"(gradient sup-norm {best_ann.grad_inf:.3g}); not a free critical point"
-                    )
-            except InfeasiblePoint as exc:
-                notes.append(f"KKT extraction failed: {exc}")
     else:
         points = origin_first(uniqueness.certified, critical, None,
                               lambda: [rng.uniform(-0.5, 1.5, n) for _ in range(opts.restarts)])
@@ -771,6 +689,6 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     return SolveReport(
         regime=regime, uniqueness=uniqueness, ball_convexity=ball_convexity,
         thresholds=thresholds, solutions=solutions,
-        sphere_lower_bound=sphere_bound, kkt=kkt_info, notes=notes,
+        sphere_lower_bound=sphere_bound, notes=notes,
         seed=opts.rng_seed,
     )

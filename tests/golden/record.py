@@ -1,12 +1,13 @@
 """Record the reference outputs that ``tests/test_golden.py`` compares against.
 
-Runs 40 ``plap`` commands in-process: validate, bounds, bounds --gamma 14.7,
+Runs 43 ``plap`` commands in-process: validate, bounds, bounds --gamma 14.7,
 solve, solve --seed 0, solve --gamma 14.7 and solve --seed 3 --gamma 14.7 on
 each bundled fixture, solve on two seeded 4x4 grids with uniform p (one in
-the direct regime, one at lambda2 / 2 with two solutions), the 16-step
-``cubic_path`` sweep, certify on the ``cubic_path`` minimizer and on u(v1) =
-1e300, and seven failing commands that pin the exit codes 1 (usage), 2
-(parse/validation) and 3 (solve).
+the direct regime, one at lambda2 / 2 with two solutions), bounds and solve
+--gamma 14.7 on ``cubic_path`` at lambda = 0.001 (tagged TwoSolutionsKKT),
+the 16-step ``cubic_path`` sweep, certify on the ``cubic_path`` minimizer and
+on u(v1) = 1e300, and eight failing commands that pin the exit codes 1
+(usage), 2 (parse/validation) and 3 (solve).
 Each command's stdout goes to ``<name>.out``; its argv, exit code and stderr
 go to ``commands.json``.  Paths are written with the placeholders
 ``{fixtures}`` and ``{golden}``.  Named commands are recorded alone, the
@@ -47,6 +48,9 @@ def commands() -> dict[str, list[str]]:
         out[f"solve-{name}-seed3-gamma"] = ["solve", path, "--seed", "3", "--gamma", "14.7"]
     for name in GRIDS:
         out[f"solve-{name}"] = ["solve", f"{{golden}}/{name}.json"]
+    kkt = "{golden}/cubic_path_kkt.json"
+    out["solve-cubic_path_kkt-gamma"] = ["solve", kkt, "--gamma", "14.7"]
+    out["bounds-cubic_path_kkt-gamma"] = ["bounds", kkt, "--gamma", "14.7"]
     out["sweep-cubic_path"] = ["sweep", "{fixtures}/cubic_path.json", "--lambda-min", "0.05",
                                "--lambda-max", "1.0", "--steps", "16"]
     for name in ("cubic_path_minimizer", "cubic_path_huge"):
@@ -62,6 +66,7 @@ def commands() -> dict[str, list[str]]:
                                    "{golden}/cubic_path_minimizer.json", "--tol", "-1"]
     out["solve-negative-seed"] = ["solve", cubic, "--seed", "-1"]
     out["bounds-gamma-too-small"] = ["bounds", cubic, "--gamma", "1"]
+    out["solve-gamma-too-small"] = ["solve", cubic, "--gamma", "2"]
     return out
 
 

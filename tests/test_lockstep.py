@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plap import (
-    Annulus,
     ArctanPower,
     Ball,
     CustomNonlinearity,
@@ -123,16 +122,13 @@ def test_fused_pass_gives_nan_where_the_primitive_has_no_value():
 
 
 @SETTINGS
-@given(specs(), st.integers(2, 5), st.booleans())
-def test_lock_step_descents_match_single_descents(spec, k, annulus):
-    # Bounded constraints: on some generated instances J is unbounded below.
+@given(specs(), st.integers(2, 5))
+def test_lock_step_descents_match_single_descents(spec, k):
+    # A bounded constraint: on some generated instances J is unbounded below.
     opts = SolverOptions(max_iter=300)
     stack = _stack(spec, k)
     norms = np.sqrt((stack * stack).sum(axis=1))[:, None]
-    if annulus:
-        constraint, starts = Annulus(1.0, 2.0), stack * (1.5 / norms)
-    else:
-        constraint, starts = Ball(1.0), stack * (0.9 / norms.max())
+    constraint, starts = Ball(1.0), stack * (0.9 / norms.max())
     batch = descend_all(spec, list(starts), constraint, opts)
     assert len(batch) == k
     for start, pt in zip(starts, batch):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import plap.solver
 from plap import (
-    Annulus,
     Ball,
     DirichletFunction,
     ExponentField,
@@ -25,7 +24,6 @@ from plap import (
     energy_value,
     fixture_path,
     instance_constants,
-    kkt_multipliers,
     lambda_thresholds,
     mountain_pass,
     parse_problem,
@@ -34,7 +32,8 @@ from plap import (
     verify_positive,
 )
 from plap.energy import EvaluationKernel
-from plap.errors import DomainError, InfeasiblePoint, InfeasibleStart, ScanExhausted
+from plap.errors import DomainError, GammaTooSmall, InfeasibleStart, ScanExhausted
+from plap.reporting import solve_report_document
 
 from conftest import (
     ball_convexity_specs,
@@ -400,41 +399,6 @@ def test_warm_peak_brackets_find_the_peak_of_the_cold_search(side, seed, downhil
     assert abs(J - J_cold) <= bound
 
 
-def test_kkt_interior_point():
-    spec = cubic_star_spec(lam=0.4)
-    pt = descend(spec, DirichletFunction.zeros(spec.graph), None, FAST)
-    # place an annulus strictly around the critical point
-    nu = pt.norm
-    sigma, theta = kkt_multipliers(spec, pt.u, nu * 0.5, nu * 2.0)
-    assert sigma == 0.0 and theta == 0.0
-
-
-def test_kkt_outer_sphere_antiparallel_gradient(monkeypatch):
-    # At a boundary minimum of the outer constraint the gradient points
-    # inward: g = -2 u gives sigma = 2.  The reversed orientation clips to 0.
-    g = make_path_graph()
-    spec = constant_source_spec()
-    u = DirichletFunction.from_interior(g, [2.0])  # ||u|| = 2
-    monkeypatch.setattr(EvaluationKernel, "gradient", lambda kernel, v: -2.0 * v)
-    sigma, theta = kkt_multipliers(spec, u, 1.0, 2.0)
-    assert sigma == pytest.approx(2.0, rel=1e-12)
-    assert theta == 0.0
-    monkeypatch.setattr(EvaluationKernel, "gradient", lambda kernel, v: 2.0 * v)
-    sigma, theta = kkt_multipliers(spec, u, 1.0, 2.0)
-    assert sigma == 0.0
-    u_inner = DirichletFunction.from_interior(g, [1.0])
-    sigma, theta = kkt_multipliers(spec, u_inner, 1.0, 2.0)
-    assert theta == pytest.approx(2.0, rel=1e-12)
-    assert sigma == 0.0
-
-
-def test_kkt_infeasible_point():
-    spec = constant_source_spec()
-    u = DirichletFunction.from_interior(spec.graph, [5.0])
-    with pytest.raises(InfeasiblePoint):
-        kkt_multipliers(spec, u, 1.0, 2.0)
-
-
 def test_verify_positive_pass_and_fail():
     spec = constant_source_spec()
     good = DirichletFunction.from_interior(spec.graph, [1.0 / 3.0])
@@ -479,26 +443,31 @@ def test_solve_cubic_two_solutions():
 
 
 def test_solve_kkt_regime():
+    # The tag runs the ball and mountain-pass phases, which find both roots.
+    th = lambda_thresholds(instance_constants(cubic_star_spec()))
+    for gamma in (1.01 * th.gamma0, 2.0 * th.gamma0, 8.0 * th.gamma0):
+        for share in (0.1, 0.9):
+            spec = cubic_star_spec(lam=share * th.lambda3(gamma))
+            rep = solve(spec, FAST, gamma=gamma)
+            assert rep.regime.has(RegimeTag.TWO_SOLUTIONS_KKT)
+            assert not hasattr(rep, "kkt")
+            assert "kkt" not in solve_report_document(spec, rep, gamma)
+            roots = bisect_roots(scalar_equation(spec))
+            assert len(roots) == 2
+            assert [pt.kind for pt in rep.solutions] == ["Minimizer", "Saddle"]
+            for pt, root in zip(rep.solutions, roots):
+                assert pt.u.value("v1") == pytest.approx(root, rel=1e-8)
+
+
+def test_gamma_at_most_gamma0_is_rejected():
     spec = cubic_star_spec(lam=0.005)
     c = instance_constants(spec)
-    th = lambda_thresholds(c)
-    gamma = 6.1
-    assert spec.lam < th.lambda3(gamma)
-    rep = solve(spec, FAST, gamma=gamma)
-    assert rep.regime.has(RegimeTag.TWO_SOLUTIONS_KKT)
-    assert rep.kkt is not None
-    assert rep.kkt.kappa == 1.0
-    assert rep.kkt.sigma >= 0.0 and rep.kkt.theta >= 0.0
-    # complementary slackness by construction
-    nu = rep.kkt.norm_u
-    zeta = min(max((1.0 + gamma) / 2.0, 1.0), gamma)
-    assert rep.kkt.sigma * (nu ** 2 - gamma ** 2) == pytest.approx(0.0, abs=1e-6)
-    assert rep.kkt.theta * (zeta ** 2 - nu ** 2) == pytest.approx(0.0, abs=1e-6)
-    roots = bisect_roots(scalar_equation(spec))
-    got = sorted(pt.u.value("v1") for pt in rep.solutions)
-    assert len(got) == len(roots) == 2
-    for a, b in zip(got, roots):
-        assert a == pytest.approx(b, abs=1e-5 * max(1.0, b))
+    gamma0 = lambda_thresholds(c).gamma0
+    for gamma in (2.0, gamma0):
+        with pytest.raises(GammaTooSmall):
+            classify_regime(c, spec.lam, gamma)
+        with pytest.raises(GammaTooSmall):
+            solve(spec, FAST, gamma=gamma)
 
 
 def test_solve_sphere_estimate_recorded():
@@ -551,13 +520,6 @@ def test_solve_deterministic_given_seed():
     for a, b in zip(rep1.solutions, rep2.solutions):
         assert np.array_equal(a.u.values, b.u.values)
         assert a.value == b.value
-
-
-def test_annulus_projection_respects_both_radii():
-    spec = cubic_star_spec(lam=0.005)
-    pt = descend(spec, DirichletFunction.from_interior(spec.graph, [4.0]),
-                 Annulus(3.55, 6.1), FAST)
-    assert 3.55 - 1e-9 <= pt.norm <= 6.1 + 1e-9
 
 
 def test_solve_small_ball_regime_only():

@@ -76,7 +76,6 @@ from .solver import (
     PositivityReport,
     SolveReport,
     SolverOptions,
-    descend,
     descend_all,
     mountain_pass,
     solve,

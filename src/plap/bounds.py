@@ -125,11 +125,13 @@ class LambdaThresholds:
         pm = c.p_minus
         # q_minus is factored out of the difference: the two numerator terms
         # can involve huge q against O(1) geometry factors.
-        core = 2.0 ** (-pm / 2.0) * dS ** (pm / 2.0) * Sbar ** (1.0 - pm) * gamma ** pm - S
-        num = c.q_minus * core
-        den = (c.phi2_max * gamma ** c.m2_plus + c.phi2_max
-               + c.psi2_max * math.sqrt(Sbar) * gamma) * S
-        return num / den
+        try:
+            core = 2.0 ** (-pm / 2.0) * dS ** (pm / 2.0) * Sbar ** (1.0 - pm) * gamma ** pm - S
+            den = (c.phi2_max * gamma ** c.m2_plus + c.phi2_max
+                   + c.psi2_max * math.sqrt(Sbar) * gamma) * S
+        except OverflowError:
+            raise DomainError(f"lambda3 overflows at gamma = {gamma:g}") from None
+        return c.q_minus * core / den
 
     def t0(self, lam: float) -> float:
         c = self.constants

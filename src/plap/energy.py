@@ -31,7 +31,7 @@ where the source is linear.  ``EvaluationKernel`` holds these formulas once
 per instance, with J at every single-vertex spike t e_i; every public
 function below and every solver routine reads it.  J and grad J share one
 pass over the pairs, which computes either or both: the descent asks for
-both at its start and at the first trial of each iteration.
+both at every point it evaluates.
 """
 
 from __future__ import annotations

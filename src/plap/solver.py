@@ -1,14 +1,15 @@
 """Critical-point search: constrained descent, trial points, minimax saddles.
 
-``descend`` is projected-gradient descent that backtracks from a safeguarded
-Barzilai-Borwein trial step (so small stiff problems converge in tens of
-iterations).  A step is accepted by a nonmonotone Armijo test, against the
-largest of the last 10 accepted J values (Grippo, Lampariello and Lucidi,
-SIAM J. Numer. Anal. 23, 1986; as in the spectral projected gradient method
-of Birgin, Martinez and Raydan, SIAM J. Optim. 10, 2000), or, once J changes
-by less than its rounding floor, by the slope test of Hager and Zhang's
-approximate Wolfe condition (SIAM J. Optim. 16, 2005).  The minimax search's
-peak steps keep the monotone test.
+``descend_all`` runs projected-gradient descents in lock step, each from a
+safeguarded Barzilai-Borwein trial step (so small stiff problems converge in
+tens of iterations), with J and grad J of every trial from one kernel pass.
+A step is accepted by a nonmonotone Armijo test, against the largest of the
+last 10 accepted J values (Grippo, Lampariello and Lucidi, SIAM J. Numer.
+Anal. 23, 1986; as in the spectral projected gradient method of Birgin,
+Martinez and Raydan, SIAM J. Optim. 10, 2000), or, once J changes by less
+than its rounding floor, by the slope test of Hager and Zhang's approximate
+Wolfe condition (SIAM J. Optim. 16, 2005).  The minimax search's peak steps
+keep the monotone test.
 ``mountain_pass`` is the local minimax method of Li and Zhou (SIAM J. Sci.
 Comput. 23, 2001): it lowers the peak of J along rays from a low point, then
 finishes with Newton steps solved by MINRES on the exact Hessian product.
@@ -157,23 +158,29 @@ def _bb_step(s: np.ndarray, y: np.ndarray, default: float) -> float:
     return default
 
 
-# What a descent asks its driver for at an interior vector: J, grad J, or
-# both from one kernel pass.
-_ENERGY, _GRADIENT, _BOTH = "J", "grad J", "J and grad J"
-
-
 def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
-    """The loop of ``descend`` as a generator: it yields (_ENERGY, x),
-    (_GRADIENT, x) or (_BOTH, x), is sent J(x), grad J(x) or both, and
-    returns (v, J, g, residual, converged, iterations) at its last iterate.
-    It asks for both at the start and at the first (Barzilai-Borwein) trial
-    of each iteration, which is usually accepted: its gradient then serves
-    the next iteration, or the slope test.  Backtracked trials ask for J
-    alone, and for grad J only when the slope test or acceptance needs it."""
+    """Projected-gradient descent of J from v as a generator: it yields each
+    point x it evaluates (its start and every trial), is sent (J(x), grad
+    J(x)), and returns (v, J, g, residual, converged, iterations) at its last
+    iterate.
+
+    A trial point c with step d = c - v is accepted when J(c) <= max(W) -
+    (1e-4/step)|d|^2, W the last 10 accepted J values, the start's included
+    (the nonmonotone Armijo test of Grippo, Lampariello and Lucidi), or,
+    when |J(c) - J(v)| lies within 32 eps (1 + |J(v)|) so J cannot resolve
+    the decrease, when <grad J(c), d> <= (2 delta - 1) <grad J(v), d> with
+    delta = 0.1: the trapezoid estimate of a delta-sufficient decrease (Hager
+    and Zhang's approximate Wolfe condition).  Otherwise the step halves.
+    J may thus rise between iterates, but never above max(W), which passes
+    J(start) only by slope-test steps within the rounding floor.
+    Terminates when the (projected) residual sup-norm drops below grad_tol;
+    hitting the iteration budget, a residual plateau, a blow-up or 30 rejected
+    trials returns the last iterate flagged (converged=False) instead of
+    raising."""
     if not _feasible(constraint, v):
         raise InfeasibleStart(f"start with norm {_norm(v):.6g} violates {constraint}")
     v = _project(constraint, v)
-    J, g = yield _BOTH, v
+    J, g = yield v
     recent = collections.deque([J], maxlen=_NONMONOTONE_WINDOW)
     prev_v: np.ndarray | None = None
     prev_g: np.ndarray | None = None
@@ -196,12 +203,11 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
                 break  # residual plateaued far above the tolerance
         if float(np.abs(v).max()) > _NORM_BLOWUP or not math.isfinite(J):
             break
-        trial = last_step if prev_v is None else _bb_step(v - prev_v, g - prev_g, last_step)
+        step = last_step if prev_v is None else _bb_step(v - prev_v, g - prev_g, last_step)
         accepted = False
         floor = 32.0 * _EPS * (1.0 + abs(J))
         J_ref = max(recent)
-        step = trial
-        for attempt in range(30):
+        for _ in range(30):
             if step < _STEP_MIN:
                 break
             cand = _project(constraint, v - step * g)
@@ -209,28 +215,20 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
             nd2 = float(np.dot(delta, delta))
             if nd2 == 0.0:
                 break  # displacement below representable resolution
-            if attempt == 0:
-                Jc, gc = yield _BOTH, cand
-            else:
-                Jc, gc = (yield _ENERGY, cand), None
-            if math.isfinite(Jc) and Jc <= J_ref - (_ARMIJO_C / step) * nd2:
+            Jc, gc = yield cand
+            # Armijo, or the slope test where J cannot resolve the decrease.
+            if (math.isfinite(Jc) and Jc <= J_ref - (_ARMIJO_C / step) * nd2) or (
+                    abs(Jc - J) <= floor
+                    and np.dot(gc, delta) <= (2.0 * _WOLFE_DELTA - 1.0) * np.dot(g, delta)):
                 accepted = True
                 break
-            if abs(Jc - J) <= floor:
-                # J cannot resolve the decrease; judge it by the slope.
-                if gc is None:
-                    gc = yield _GRADIENT, cand
-                if np.dot(gc, delta) <= (2.0 * _WOLFE_DELTA - 1.0) * np.dot(g, delta):
-                    accepted = True
-                    break
             step *= _BACKTRACK
         if not accepted:
             break
         last_step = max(step, _BB_LO)
         prev_v, prev_g = v, g
-        v, J = cand, Jc
+        v, J, g = cand, Jc, gc
         recent.append(J)
-        g = gc if gc is not None else (yield _GRADIENT, v)
         it += 1
     residual = _residual_measure(constraint, v, g)
     return v, J, g, residual, converged or residual <= opts.grad_tol, it
@@ -238,74 +236,38 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
 
 def descend_all(spec: ProblemSpec, starts: list[np.ndarray], constraint: Constraint = None,
                 opts: SolverOptions | None = None) -> list[CriticalPoint]:
-    """``descend`` from each interior start vector, the descents run in lock
-    step: each round answers the pending requests of each kind (J, grad J,
-    or both, which the descents make at their starts and first trials) with
-    one kernel call on the (K, n) stack of their points.  A descent that
-    stops drops out; once one is left, it calls the kernel on its own
-    vectors.  Returns the points in the order of ``starts``; raises
-    InfeasibleStart before any evaluation if a start violates the
-    constraint."""
+    """The descents ``_descent`` from each interior start vector, run in lock
+    step: each round answers the points of every running descent with one
+    ``energy_gradient`` call on their (K, n) stack.  A descent that stops
+    drops out; once one is left, it calls the kernel on its own vectors.
+    Returns the points in the order of ``starts``; raises InfeasibleStart
+    before any evaluation if a start violates the constraint."""
     opts = opts or SolverOptions()
-    kernel = spec._kernel
-    evaluate = {_ENERGY: kernel.energy, _GRADIENT: kernel.gradient,
-                _BOTH: kernel.energy_gradient}
+    energy_gradient = spec._kernel.energy_gradient
     lanes = [_descent(constraint, np.asarray(s, dtype=float), opts) for s in starts]
     ends: list = [None] * len(lanes)
     # For ``_norm``, whose sum of squares may overflow.  Only constrained
     # descents take norms, and numpy ufuncs run slower under an errstate.
     with np.errstate(over="ignore") if constraint is not None else contextlib.nullcontext():
-        asks = [next(lane) for lane in lanes]
+        points = [next(lane) for lane in lanes]
         live = list(range(len(lanes)))
         while len(live) > 1:
-            answers = []
-            for kind, kernel_call in evaluate.items():
-                ks = [k for k in live if asks[k][0] is kind]
-                if len(ks) == 1:
-                    answers.append((ks[0], kernel_call(asks[ks[0]][1])))
-                elif ks:
-                    values = kernel_call(np.stack([asks[k][1] for k in ks]))
-                    if kind is _ENERGY:
-                        values = values.tolist()
-                    elif kind is _BOTH:
-                        values = zip(values[0].tolist(), values[1])
-                    answers += zip(ks, values)
-            for k, value in answers:
+            energies, gradients = energy_gradient(np.stack([points[k] for k in live]))
+            for k, J, g in zip(tuple(live), energies.tolist(), gradients):
                 try:
-                    asks[k] = lanes[k].send(value)
+                    points[k] = lanes[k].send((J, g))
                 except StopIteration as stop:
                     ends[k] = stop.value
                     live.remove(k)
         for k in live:  # the last descent: no stacks and no rounds to keep
-            lane, (kind, x) = lanes[k], asks[k]
+            lane, x = lanes[k], points[k]
             try:
                 while True:
-                    kind, x = lane.send(evaluate[kind](x))
+                    x = lane.send(energy_gradient(x))
             except StopIteration as stop:
                 ends[k] = stop.value
     return [_as_point(spec, v, J, residual, "Minimizer", converged, it, float(np.abs(g).max()))
             for v, J, g, residual, converged, it in ends]
-
-
-def descend(spec: ProblemSpec, u0: DirichletFunction, constraint: Constraint = None,
-            opts: SolverOptions | None = None) -> CriticalPoint:
-    """Projected-gradient descent of J from u0.
-
-    A trial point c with step d = c - v is accepted when J(c) <= max(W) -
-    (1e-4/step)|d|^2, W the last 10 accepted J values, the start's included
-    (the nonmonotone Armijo test of Grippo, Lampariello and Lucidi), or,
-    when |J(c) - J(v)| lies within 32 eps (1 + |J(v)|) so J cannot resolve
-    the decrease, when <grad J(c), d> <= (2 delta - 1) <grad J(v), d> with
-    delta = 0.1: the trapezoid estimate of a delta-sufficient decrease (Hager
-    and Zhang's approximate Wolfe condition).  Otherwise the step halves.
-    J may thus rise between iterates, but never above max(W), which passes
-    J(start) only by slope-test steps within the rounding floor.
-    Terminates when the (projected) residual sup-norm drops below grad_tol;
-    hitting the iteration budget, a residual plateau, a blow-up or 30 rejected
-    trials returns the last iterate flagged (converged=False) instead of
-    raising.  The one-start case of ``descend_all``.
-    """
-    return descend_all(spec, [u0.interior()], constraint, opts)[0]
 
 
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -166,6 +166,12 @@ def ball_convexity_specs(draw):
     return ProblemSpec(g, p, q, f, draw(st.floats(0.05, 0.99)) * lambda2)
 
 
+def descend(spec, u0, constraint=None, opts=None):
+    """The descent from the one start u0: ``descend_all`` on a one-vector batch,
+    looked up at call time so that tests may wrap it."""
+    return plap.solver.descend_all(spec, [u0.interior()], constraint, opts)[0]
+
+
 def random_dirichlet(rng, graph, lo=-2.0, hi=2.0):
     return DirichletFunction.from_interior(graph, rng.uniform(lo, hi, graph.n_interior))
 

@@ -1,13 +1,14 @@
 """Record the reference outputs that ``tests/test_golden.py`` compares against.
 
-Runs 43 ``plap`` commands in-process: validate, bounds, bounds --gamma 14.7,
+Runs 45 ``plap`` commands in-process: validate, bounds, bounds --gamma 14.7,
 solve, solve --seed 0, solve --gamma 14.7 and solve --seed 3 --gamma 14.7 on
 each bundled fixture, solve on two seeded 4x4 grids with uniform p (one in
 the direct regime, one at lambda2 / 2 with two solutions), bounds and solve
 --gamma 14.7 on ``cubic_path`` at lambda = 0.001 (tagged TwoSolutionsKKT),
 the 16-step ``cubic_path`` sweep, certify on the ``cubic_path`` minimizer and
-on u(v1) = 1e300, and eight failing commands that pin the exit codes 1
-(usage), 2 (parse/validation) and 3 (solve).
+on u(v1) = 1e300, and ten failing commands that pin the exit codes 1
+(usage), 2 (parse/validation, such as a --gamma of 1e300, where lambda3
+overflows) and 3 (solve).
 Each command's stdout goes to ``<name>.out``; its argv, exit code and stderr
 go to ``commands.json``.  Paths are written with the placeholders
 ``{fixtures}`` and ``{golden}``.  Named commands are recorded alone, the
@@ -67,6 +68,8 @@ def commands() -> dict[str, list[str]]:
     out["solve-negative-seed"] = ["solve", cubic, "--seed", "-1"]
     out["bounds-gamma-too-small"] = ["bounds", cubic, "--gamma", "1"]
     out["solve-gamma-too-small"] = ["solve", cubic, "--gamma", "2"]
+    out["bounds-gamma-overflow"] = ["bounds", cubic, "--gamma", "1e300"]
+    out["solve-gamma-overflow"] = ["solve", cubic, "--gamma", "1e300"]
     return out
 
 

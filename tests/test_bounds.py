@@ -210,6 +210,18 @@ def test_gamma_too_small():
         th.lambda3(th.gamma0)
 
 
+def test_lambda3_overflow_is_a_domain_error():
+    # gamma ** p^- or gamma ** m2^+ leaves the float range: no OverflowError escapes, and
+    # classify_regime, which reads lambda3 once the tag can apply, says so too.
+    spec = cubic_star_spec(lam=0.005)
+    c = instance_constants(spec)
+    th = lambda_thresholds(c)
+    assert th.lambda3(1e10) > 0.0
+    for call in (lambda: th.lambda3(1e300), lambda: classify_regime(c, spec.lam, 1e300)):
+        with pytest.raises(DomainError, match="lambda3 overflows at gamma = 1e\\+300"):
+            call()
+
+
 def test_degenerate_exponent():
     g = make_path_graph()
     spec = ProblemSpec(graph=g, p=ExponentField.constant(g, 4.0),

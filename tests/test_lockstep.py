@@ -2,16 +2,16 @@
 
 ``EvaluationKernel.energy``/``.gradient``/``.energy_gradient`` on a (K, n)
 stack run the same formulas as K single calls, ``energy_gradient`` gives the
-values of ``energy`` and ``gradient`` from one pass, and ``descend_all`` runs
-the same descents as K calls to ``descend``.  The results are bit-identical
-wherever numpy runs the same floating-point loop for a row of the stack as
-for a single vector.  It
-does not when a row holds one value (n = 1): a length-1 row of a stack is a
-strided loop, which numpy's power evaluates with the scalar libm routine,
-while a length-1 vector takes the SIMD routine, and the two can differ in the
-last bit (0.0333...**2 is 0.0011119352250093186 against ...188).  There the
-tests allow ROUND relative to the size of the terms, and for descents the
-same stopping decisions with converged points within 1e-6.
+values of ``energy`` and ``gradient`` from one pass, and ``descend_all`` on K
+starts runs the same descents as K one-start calls.  The results are
+bit-identical wherever numpy runs the same floating-point loop for a row of
+the stack as for a single vector.  It does not when a row holds one value
+(n = 1): a length-1 row of a stack is a strided loop, which numpy's power
+evaluates with the scalar libm routine, while a length-1 vector takes the
+SIMD routine, and the two can differ in the last bit (0.0333...**2 is
+0.0011119352250093186 against ...188).  There the tests allow ROUND
+relative to the size of the terms, and for descents the same stopping
+decisions with converged points within 1e-6.
 """
 
 import warnings
@@ -20,16 +20,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plap.solver
 from plap import (
     ArctanPower,
     Ball,
     CustomNonlinearity,
-    DirichletFunction,
     ExponentField,
     Potential,
     ProblemSpec,
     SolverOptions,
-    descend,
     descend_all,
     fixture_path,
     parse_problem,
@@ -132,7 +131,7 @@ def test_lock_step_descents_match_single_descents(spec, k):
     batch = descend_all(spec, list(starts), constraint, opts)
     assert len(batch) == k
     for start, pt in zip(starts, batch):
-        one = descend(spec, DirichletFunction.from_interior(spec.graph, start), constraint, opts)
+        one = descend_all(spec, [start], constraint, opts)[0]
         if spec.graph.n_interior > 1:
             assert pt.u.values.tobytes() == one.u.values.tobytes()
             assert (pt.value, pt.residual_inf, pt.grad_inf, pt.converged, pt.iterations) == \
@@ -173,25 +172,26 @@ def _clear(calls):
 
 
 def test_one_batched_call_of_each_kind_per_round(monkeypatch):
+    # Every round is one fused call on the stack of the running descents;
+    # J alone and grad J alone are never asked for.
     spec = parse_problem(fixture_path("triangle_pendant.json"))
+    n = spec.graph.n_interior
     starts = list(_stack(spec, 6))
     calls = _count_kernel_calls(monkeypatch)
     singles = []
     for s in starts:
-        descend(spec, DirichletFunction.from_interior(spec.graph, s))
-        singles.append(sum(map(len, calls.values())))
+        descend_all(spec, [s])
+        # a single start never stacks
+        assert set(calls["energy_gradient"]) == {(n,)}
+        singles.append(len(calls["energy_gradient"]))
         _clear(calls)
-    # a single start never stacks
-    descend(spec, DirichletFunction.from_interior(spec.graph, starts[0]))
-    assert {len(shape) for shapes in calls.values() for shape in shapes} == {1}
-    _clear(calls)
     descend_all(spec, starts)
-    # every round answers all lanes with at most one call of each kind, and
-    # there are no more rounds than the longest descent has requests
-    for shapes in calls.values():
-        assert len(shapes) <= max(singles)
-    # the first round asks every start for J and grad J in one fused call
-    assert calls["energy_gradient"][0] == (6, spec.graph.n_interior)
+    assert calls["energy"] == [] and calls["gradient"] == []
+    # round r answers the r-th point of every descent with more than r points;
+    # the last descent running goes on alone, without a stack
+    live = [sum(count > r for count in singles) for r in range(max(singles))]
+    assert live[0] == 6
+    assert calls["energy_gradient"] == [(k, n) if k > 1 else (n,) for k in live]
 
 
 def test_descend_all_checks_every_start_before_evaluating(monkeypatch):
@@ -205,13 +205,22 @@ def test_descend_all_checks_every_start_before_evaluating(monkeypatch):
 
 
 def test_descent_evaluates_each_accepted_point_in_one_kernel_call(monkeypatch):
-    # Every point the descent evaluates is its start or a trial; an accepted
-    # first trial brings its gradient along, and each rejected trial costs
-    # the next trial's J and, should that be accepted, one grad J call.
+    # Every point the descent evaluates is its start or a trial, accepted or
+    # rejected, and each costs one fused call: J and grad J together.
     spec = direct_grid(16, 0, 0)
-    points = []
-    _on_kernel_calls(monkeypatch, lambda name, v: points.append(v.tobytes()))
-    pt = descend(spec, DirichletFunction.zeros(spec.graph))
+    points, trials = [], []
+    _on_kernel_calls(monkeypatch, lambda name, v: points.append((name, v.tobytes())))
+    project = plap.solver._project
+
+    def counting(constraint, v):  # the start and every trial pass through here
+        trials.append(None)
+        return project(constraint, v)
+
+    monkeypatch.setattr(plap.solver, "_project", counting)
+    pt = descend_all(spec, [np.zeros(spec.graph.n_interior)])[0]
     assert pt.converged
-    rejected = len(set(points)) - 1 - pt.iterations
-    assert len(points) <= pt.iterations + 2 * rejected + 1
+    rejected = len(trials) - 1 - pt.iterations
+    assert rejected > 0
+    assert len(points) == 1 + pt.iterations + rejected
+    assert {name for name, _ in points} == {"energy_gradient"}
+    assert len({x for _, x in points}) == len(points)

@@ -19,7 +19,6 @@ from plap import (
     ball_convexity_certificate,
     build_graph,
     classify_regime,
-    descend,
     descend_all,
     energy_value,
     fixture_path,
@@ -40,6 +39,7 @@ from conftest import (
     bisect_roots,
     constant_source_spec,
     cubic_star_spec,
+    descend,
     make_cycle_pendant_graph,
     make_path_graph,
     make_triangle_pendant_graph,
@@ -480,7 +480,7 @@ def test_solve_sphere_estimate_recorded():
 
 def _counting_descend(monkeypatch):
     """Record the constraint of every descent (one per start) that runs
-    through ``descend_all``, the entry point of ``descend`` and ``solve``."""
+    through ``descend_all``, the entry point of ``solve``."""
     calls = []
     descend_all = plap.solver.descend_all
 

@@ -30,10 +30,10 @@ def signed_power(d: float, p: float) -> float:
     return math.copysign(abs(d) ** (p - 1.0), d)
 
 
-def _signed_power_vec(d: np.ndarray, p_m1: np.ndarray) -> np.ndarray:
-    # sign(d)*|d|**(p-1) from p_m1 = p - 1; |0|**(p-1) = 0 for p >= 2, so no
-    # masking needed.
-    return np.sign(d) * np.abs(d) ** p_m1
+def _signed_power_vec(d: np.ndarray, p_m1) -> np.ndarray:
+    # sign(d)*|d|**(p-1) from p_m1 = p - 1 (an array or one float);
+    # |0|**(p-1) = 0 for p >= 2, so no masking needed.
+    return np.copysign(np.abs(d) ** p_m1, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +97,14 @@ def _as_values(u) -> np.ndarray:
     return u.values if isinstance(u, VertexFunction) else np.asarray(u, dtype=float)
 
 
-def edge_flux(g: Graph, p_rows_m1: np.ndarray, uv: np.ndarray) -> np.ndarray:
+def edge_flux(g: Graph, p_rows_m1, uv: np.ndarray) -> np.ndarray:
     """a_k = |u(r)-u(c)|^(p(r)-2) (u(r)-u(c)) w(r,c) over ``g.ordered_pairs``,
     along the last axis of ``uv`` (a vertex array or a (K, n_vertices) stack).
 
     The one edge term of the p(x)-Laplacian (``p_rows_m1`` is p - 1 at the
-    rows): ``minus_laplacian`` sums it per row, the gradient of J takes half
-    its row sums minus half its column sums, and ``edge_pairing`` pairs it
-    with v.
+    rows, or one float for a uniform p): ``minus_laplacian`` sums it per
+    row, the gradient of J takes half its row sums minus half its column
+    sums, and ``edge_pairing`` pairs it with v.
     """
     rows, cols, w = g.ordered_pairs
     return _signed_power_vec(gather(uv, rows) - gather(uv, cols), p_rows_m1) * w

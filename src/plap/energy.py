@@ -55,9 +55,12 @@ class EvaluationKernel:
     ``energy_gradient`` (with ``terms`` and ``gradient_at``) also take a
     (K, n) stack of vectors and answer row by row with the same formulas,
     sums running along the last axis.  All of them run ``_pass``, which
-    computes J and grad J from one set of gathers; ``energy_gradient`` asks
-    it for both, at 80-92% of the cost of an ``energy`` and a ``gradient``
-    call on 3x3 to 16x16 grids."""
+    computes J and grad J from one set of gathers and one power per pair and
+    per vertex; ``energy_gradient`` asks it for both, at 71-80% of the cost
+    of an ``energy`` and a ``gradient`` call on 3x3 to 16x16 grids (21, 23,
+    34 and 208 us per call on p = 3 grids of 3x3, 8x8, 16x16 and 64x64; 2
+    vCPUs, numpy 2.4.6).  A uniform p is kept as a float, so its kernel owns
+    one per-pair array, w/(2p)."""
 
     def __init__(self, spec: ProblemSpec):
         g = spec.graph
@@ -65,14 +68,18 @@ class EvaluationKernel:
         self.n = g.n_interior
         self.n_vertices = g.n_vertices
         self.rows, self.cols, self.w = g.ordered_pairs
-        self.w_half = self.w / 2.0  # the 1/2 of J and grad J, exact in binary
-        self.p_rows = spec.p.values[self.rows]
-        self.p_rows_m1 = self.p_rows - 1.0
-        self.p_int = spec.p.interior()
-        self.p_int_m1 = self.p_int - 1.0
+        # p - 1 at the rows and at the interior: a Python float when p is
+        # uniform, which numpy broadcasts (and squares for p = 3).
+        p_rows, p_int = spec.p.values[self.rows], spec.p.interior()
+        self.pm1, self.pm1_int = _uniform(p_rows) - 1.0, _uniform(p_int) - 1.0
+        self.w_2p = self.w / (2.0 * p_rows)
+        # each pair's reverse, which the gradient reads only when p varies
+        self.rev = None if isinstance(self.pm1, float) else np.lexsort((self.rows, self.cols))
         self.q = spec.q.values
+        self.q_p = self.q / p_int
         self.lam = spec.lam
         self.f = spec.f
+        self.f0 = spec.f.rate_vector(np.zeros(self.n))  # the source's slope below zero
         self.pad = np.zeros(g.n_boundary)
 
     def full(self, v: np.ndarray) -> np.ndarray:
@@ -93,38 +100,37 @@ class EvaluationKernel:
                 return np.full(t.shape, np.nan)
             return np.stack([self._primitive(row) for row in t])
 
-    def _source(self, ui: np.ndarray, u_plus: np.ndarray) -> np.ndarray:
-        # F at u_plus = max(u, 0) plus the linear continuation below zero.
-        vals = self._primitive(u_plus)
-        negmask = ui < 0.0
-        if negmask.any():
-            f0 = self.f.rate_vector(np.zeros_like(ui))
-            vals = vals + np.where(negmask, f0 * ui, 0.0)
-        return vals
-
     def _pass(self, uv: np.ndarray, energy: bool, gradient: bool):
         """((dirichlet, potential, source, J), grad J) at the vertex array uv,
-        None in place of the part not asked for.  Both parts read one gather
-        of each end of every pair, |u(r) - u(c)|, |u| and u_plus."""
-        n, nv, rows, cols = self.n, self.n_vertices, self.rows, self.cols
+        None in place of the part not asked for.  Both parts read one power
+        of each pair's |u(r) - u(c)| and one of each |u(x)|."""
+        n, nv, rows = self.n, self.n_vertices, self.rows
         ui = uv[..., :n]
         parts = grad = None
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = gather(uv, rows) - gather(uv, cols)
+            diff = gather(uv, rows) - gather(uv, self.cols)
             d, abs_u, u_plus = np.abs(diff), np.abs(ui), np.maximum(ui, 0.0)
+            t, s = d ** self.pm1, abs_u ** self.pm1_int
             if energy:
-                dirichlet = np.add.reduce(d ** self.p_rows / self.p_rows * self.w_half, -1)
-                potential = np.add.reduce(abs_u ** self.p_int / self.p_int * self.q, -1)
-                source = self.lam * np.add.reduce(self._source(ui, u_plus), -1)
+                dirichlet = np.add.reduce(t * d * self.w_2p, -1)
+                potential = np.add.reduce(s * abs_u * self.q_p, -1)
+                # F at u_plus plus the linear continuation below zero
+                source = self.lam * np.add.reduce(
+                    self._primitive(u_plus) + self.f0 * np.minimum(ui, 0.0), -1)
                 # Where two terms overflow, J is inf - inf: NaN, which the
                 # descent rejects.  Python floats give it silently.
                 J = (float(dirichlet) + float(potential) - float(source) if uv.ndim == 1
                      else dirichlet + potential - source)
                 parts = dirichlet, potential, source, J
             if gradient:
-                a = np.sign(diff) * d ** self.p_rows_m1 * self.w_half
-                edge = index_sums(rows, a, nv)[..., :n] - index_sums(cols, a, nv)[..., :n]
-                grad = self._operator(edge, ui, abs_u, u_plus)
+                # a_k is twice pair k's term, and the edge part at x is the
+                # row sum of (a_k - a_rev(k)) / 2; a uniform p has
+                # a_rev(k) = -a_k exactly, so there it is the row sum of a
+                a = np.copysign(t, diff) * self.w
+                if self.rev is not None:
+                    a = 0.5 * a
+                    a = a - gather(a, self.rev)
+                grad = self._operator(index_sums(rows, a, nv)[..., :n], ui, s, u_plus)
         return parts, grad
 
     def terms(self, uv: np.ndarray):
@@ -136,11 +142,11 @@ class EvaluationKernel:
         """J at the interior vector v, or a (K,) array for a (K, n) stack."""
         return self._pass(self.full(v), True, False)[0][3]
 
-    def _operator(self, edge: np.ndarray, ui: np.ndarray, abs_u: np.ndarray,
+    def _operator(self, edge: np.ndarray, ui: np.ndarray, s: np.ndarray,
                   t: np.ndarray) -> np.ndarray:
-        # edge part + q sp(u, p) - lambda f(t) at the interior vertices
-        return (edge + self.q * (np.sign(ui) * abs_u ** self.p_int_m1)
-                - self.lam * self.f.rate_vector(t))
+        # edge part + q sp(u, p) - lambda f(t) at the interior vertices, with
+        # s = |u|^(p-1)
+        return edge + self.q * np.copysign(s, ui) - self.lam * self.f.rate_vector(t)
 
     def gradient_at(self, uv: np.ndarray) -> np.ndarray:
         """grad J at the interior vertices of the vertex array uv (row by row
@@ -163,8 +169,8 @@ class EvaluationKernel:
         ui = uv[: self.n]
         with np.errstate(over="ignore", invalid="ignore"):
             val = self._operator(
-                minus_laplacian(self.graph, edge_flux(self.graph, self.p_rows_m1, uv))[: self.n],
-                ui, np.abs(ui), ui)
+                minus_laplacian(self.graph, edge_flux(self.graph, self.pm1, uv))[: self.n],
+                ui, np.abs(ui) ** self.pm1_int, ui)
         return float(np.abs(val).max())
 
     def hessian(self, v: np.ndarray):
@@ -173,9 +179,9 @@ class EvaluationKernel:
         rows, cols, n, nv = self.rows, self.cols, self.n, self.n_vertices
         with np.errstate(over="ignore", invalid="ignore"):
             uv = self.full(v)
-            c = self.p_rows_m1 * np.abs(uv[rows] - uv[cols]) ** (self.p_rows - 2.0) * self.w
+            c = self.pm1 * np.abs(uv[rows] - uv[cols]) ** (self.pm1 - 1.0) * self.w
             slope = np.where(v < 0.0, 0.0, self.f.slope_vector(np.maximum(v, 0.0)))
-            diag = self.q * self.p_int_m1 * np.abs(v) ** (self.p_int - 2.0) - self.lam * slope
+            diag = self.q * self.pm1_int * np.abs(v) ** (self.pm1_int - 1.0) - self.lam * slope
 
         def product(x: np.ndarray) -> np.ndarray:
             xv = self.full(x)
@@ -191,11 +197,18 @@ class EvaluationKernel:
         the edge term of the pairs at row i or column i, the potential and
         source at i, and F_j(0) elsewhere."""
         n, nv = self.n, self.n_vertices
-        a = t ** self.p_rows / self.p_rows * self.w_half
+        # np.power: a float t and a uniform p would give Python's power,
+        # which raises on overflow
+        a = np.power(t, self.pm1) * t * self.w_2p
         dirichlet = np.bincount(self.rows, a, nv)[:n] + np.bincount(self.cols, a, nv)[:n]
-        potential = t ** self.p_int / self.p_int * self.q
+        potential = np.power(t, self.pm1_int) * t * self.q_p
         Ft = self.f.primitive_vector(np.full(n, t))
         return dirichlet + potential - self.lam * (F0.sum() - F0 + Ft)
+
+
+def _uniform(a: np.ndarray) -> np.ndarray | float:
+    """a's one value as a float when every entry holds it, else a."""
+    return float(a[0]) if a.size and (a == a[0]).all() else a
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,14 @@ Two versions give the same answers when the output does not differ:
     PYTHONPATH=src python tests/same_answers.py > after.txt
     diff before.txt after.txt
 
+A change that is not bit-identical gives the same answers when every line
+keeps its kinds and notes.  ``--compare`` prints each line that does not
+(before, then after), and counts the lines that differ in bits only (the
+point's hash, J or the iteration counts), with the largest relative change
+in J among them; it exits 1 when it printed a line:
+
+    PYTHONPATH=src python tests/same_answers.py --compare before.txt after.txt
+
 The last bit of a point depends on the machine's numpy and libm, so compare
 outputs made on one machine.  It runs in 6-10 s on one core of a 2-vCPU Xeon.
 """
@@ -67,5 +75,41 @@ def main() -> None:
             print(f"corpus {k} at {label}: {digest(at)}")
 
 
+def _answers(path: str) -> dict[str, list[str]]:
+    # label -> [kinds, hash, J, iterations, notes], or [the raised error]
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return {label: rest.split(" | ", 4) for label, rest in (ln.split(": ", 1) for ln in lines)}
+
+
+def _rel_change(before: str, after: str) -> float:
+    pairs = zip(before.split(","), after.split(",")) if before else ()
+    return max((abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b)))
+                for a, b in pairs if a != b), default=0.0)
+
+
+def compare(before: str, after: str) -> int:
+    old, new = _answers(before), _answers(after)
+    changed = bits = iterations = 0
+    largest = 0.0
+    for label in dict.fromkeys([*old, *new]):
+        a, b = old.get(label), new.get(label)
+        if a == b:
+            continue
+        if a is None or b is None or len(a) != len(b) or (a[0], a[-1]) != (b[0], b[-1]):
+            changed += 1
+            for sign, fields in (("-", a), ("+", b)):
+                print(f"{sign} {label}: " + (" | ".join(fields) if fields else "(missing)"))
+            continue
+        bits += 1
+        iterations += a[3] != b[3]
+        largest = max(largest, _rel_change(a[2], b[2]))
+    print(f"{len(old)} lines before, {len(new)} after: {changed} differ in kinds or notes, "
+          f"{bits} in bits only ({iterations} of them in iteration counts); largest "
+          f"relative change in J among those: {largest:.3g}")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        sys.exit(compare(*sys.argv[2:]))
     main()

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,42 +100,41 @@ class ValidationReport:
         self.checks.append(CheckResult(name, bool(passed), detail))
 
 
-def _check_labels(interior: Sequence[VertexId], boundary: Sequence[VertexId]) -> None:
+def _index_labels(interior: Sequence[VertexId], boundary: Sequence[VertexId]) -> dict:
+    """The vertex index (interior first) of checked labels."""
     if not interior or not boundary:
         raise EmptySet("interior and boundary vertex sets must both be nonempty")
-    for v in list(interior) + list(boundary):
-        if not isinstance(v, str) or not v:
-            raise DuplicateVertex(f"vertex labels must be nonempty strings, got {v!r}")
-    overlap = set(interior) & set(boundary)
-    if overlap:
-        raise OverlappingSets(f"vertices in both sets: {sorted(overlap)}")
-    for part in (interior, boundary):
-        if len(set(part)) != len(part):
-            dup = next(v for v in part if list(part).count(v) > 1)
-            raise DuplicateVertex(f"vertex {dup!r} appears more than once")
+    labels = (*interior, *boundary)
+    if not (all(map(isinstance, labels, repeat(str))) and all(labels)):
+        v = next(v for v in labels if not isinstance(v, str) or not v)
+        raise DuplicateVertex(f"vertex labels must be nonempty strings, got {v!r}")
+    index = dict(zip(labels, range(len(labels))))
+    if len(index) < len(labels):  # a label repeats, across the sets or within one
+        overlap = set(interior) & set(boundary)
+        if overlap:
+            raise OverlappingSets(f"vertices in both sets: {sorted(overlap)}")
+        dup = next(v for part in (interior, boundary) for v in part if list(part).count(v) > 1)
+        raise DuplicateVertex(f"vertex {dup!r} appears more than once")
+    return index
 
 
 def _connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
-    # Breadth-first traversal, one frontier at a time, over pairs sorted by
-    # row: the neighbours of x are cols[start[x]:start[x + 1]], and each
-    # vertex enters the frontier once, so every slice is read once (O(E)).
-    start = np.searchsorted(rows, np.arange(n + 1))
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    slot = np.empty(n, dtype=np.int64)
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        lo = start[frontier]
-        counts = start[frontier + 1] - lo
-        offsets = np.cumsum(counts) - counts
-        nbrs = cols[np.arange(int(counts.sum())) + np.repeat(lo - offsets, counts)]
-        nbrs = nbrs[~seen[nbrs]]
-        # Keep one copy of each new vertex: the last write to slot[x] wins.
-        # (np.unique would do, but pages in about 1.6 MB of code on first use.)
-        slot[nbrs] = np.arange(nbrs.size)
-        frontier = nbrs[slot[nbrs] == np.arange(nbrs.size)]
-        seen[frontier] = True
-    return bool(seen.all())
+    """Whether the pairs (both directions of every edge) join all n vertices:
+    min-label hooking with pointer jumping (Shiloach & Vishkin, J. Algorithms
+    3, 1982).  In each round every tree root takes the smallest root across
+    its pairs, then every vertex jumps to its root until nothing changes.  A
+    tree hooks or is hooked onto within two rounds, so there are O(log n)
+    rounds.  Roots only fall and vertex 0 keeps its own, so once a round
+    changes nothing the graph is connected exactly when every root is 0.
+    """
+    root = np.arange(n)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[rows], root[cols])
+        if np.array_equal(hooked, root):
+            return not root.any()
+        while not np.array_equal(root, hooked):
+            root, hooked = hooked, hooked[hooked]
 
 
 def build_graph(
@@ -149,28 +150,30 @@ def build_graph(
     self-loop, and any self-loop before any weight that is not finite and
     positive.
     """
-    _check_labels(interior, boundary)
-    labels = tuple(interior) + tuple(boundary)
-    index = {v: i for i, v in enumerate(labels)}
+    index = _index_labels(interior, boundary)
+    labels = tuple(index)
     edges = list(edges)
+    # Endpoints in edge order, head before tail, to name the first unknown one.
+    names = chain.from_iterable(map(itemgetter(0, 1), edges))
     try:
-        ends = np.array([index[x] for a, b, _ in edges for x in (a, b)], dtype=np.int64)
+        ends = np.fromiter(map(index.__getitem__, names), np.int64, 2 * len(edges))
     except KeyError as exc:
         raise UnknownEndpoint(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
     heads, tails = ends[0::2], ends[1::2]
     loops = np.flatnonzero(heads == tails)
     if loops.size:
         raise SelfLoop(f"self-edge at {edges[loops[0]][0]!r}")
-    ws = np.array([float(w) for _, _, w in edges])
+    ws = np.fromiter(map(float, map(itemgetter(2), edges)), float, len(edges))
     bad = np.flatnonzero(~np.isfinite(ws) | (ws <= 0.0))
     if bad.size:
         a, b, _ = edges[bad[0]]
         raise NonPositiveWeight(f"edge ({a!r}, {b!r}) has weight {float(ws[bad[0]])}, need > 0")
     rows = np.concatenate((heads, tails))
     cols = np.concatenate((tails, heads))
-    order = np.lexsort((cols, rows))
+    key = rows * len(labels) + cols  # sorted by key is sorted by (row, col)
+    order = np.argsort(key)
     pairs = (rows[order], cols[order], np.concatenate((ws, ws))[order])
-    repeated = np.flatnonzero(np.diff(pairs[0] * len(labels) + pairs[1]) == 0)
+    repeated = np.flatnonzero(np.diff(key[order]) == 0)
     if repeated.size:
         r, c = pairs[0][repeated[0]], pairs[1][repeated[0]]
         raise DuplicateVertex(f"duplicate edge ({labels[r]!r}, {labels[c]!r})")
@@ -187,7 +190,7 @@ def validate_graph(g: Graph) -> ValidationReport:
     report.add("nonempty_sets", bool(g.interior) and bool(g.boundary))
     overlap = set(g.interior) & set(g.boundary)
     report.add("disjoint_sets", not overlap, f"overlap: {sorted(overlap)}" if overlap else "")
-    n = g.n_vertices
+    n = np.int64(g.n_vertices)  # so that row * n + col is an int64 key for int32 pairs too
     report.add("unique_labels", len(set(g.vertices)) == n)
     rows, cols, w = (np.asarray(a) for a in g.ordered_pairs)
     shape_ok = (
@@ -203,7 +206,7 @@ def validate_graph(g: Graph) -> ValidationReport:
     report.add("nonnegative_weights", bool(np.all(w > 0)))
     # Sorted pairs are symmetric exactly when their transposes, sorted the
     # same way, are the same pairs with the same weights.
-    t = np.lexsort((rows, cols))
+    t = np.argsort(cols * n + rows)
     sym = bool(np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols)
                and np.array_equal(w[t], w))
     report.add("symmetry", sym, "" if sym else "w(x, y) != w(y, x) for some pair")

@@ -9,7 +9,7 @@ lambda > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
@@ -31,9 +31,9 @@ def _vertex_array(graph: Graph, data, labels: Sequence[VertexId], what: str,
         missing = [v for v in labels if v not in data]
         if missing:
             raise InvariantError(f"{what}: no value for vertices {missing}")
-        extra = [k for k in data if k not in labels]
-        if extra:
-            raise InvariantError(f"{what}: unknown vertices {extra}")
+        if len(data) != len(labels):  # every label has a value, so some keys are extra
+            known = set(labels)
+            raise InvariantError(f"{what}: unknown vertices {[k for k in data if k not in known]}")
         data = [float(data[v]) for v in labels]
     arr = np.array(data, dtype=float)
     if arr.ndim == 0:
@@ -301,7 +301,10 @@ def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
     The pointwise bounds on f are checked at every grid point; the integrated
     bounds on F (which follow from the pointwise ones) are spot-checked on a
     coarser subgrid, vectorized over 32 points per call, since F may require
-    quadrature.
+    quadrature.  f depends on a vertex only through ``n._params``, so each
+    distinct row of the parameter and envelope arrays is checked once, at its
+    first vertex, and its violations are copied to every vertex holding it,
+    in vertex order.  Without parameter arrays each vertex is its own row.
     """
     if n.envelope is None:
         raise DomainError("nonlinearity declares no growth envelope")
@@ -315,11 +318,21 @@ def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
     f_slack = 1e-12
     F_slack = 1e-8  # far above the quadrature tolerance (1e-10 absolute, 1e-13 relative)
     sub = grid[::8] if grid.size > 16 else grid
-    for i, x in enumerate(n.graph.interior):
+    interior = n.graph.interior
+    cols = n._params + (env.m1, env.m2, env.phi1, env.phi2, env.psi1, env.psi2) \
+        if n._params else (np.arange(len(interior)),)
+    rows = np.column_stack(cols)
+    # One bytes key per vertex, equal for equal rows; in ``first`` later
+    # entries overwrite earlier ones, so each row keeps its first vertex.
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    found = {}
+    for i in first.values():
+        x, found[i] = interior[i], []
         fvals = n._rate(i, grid)
         lower = env.psi1[i] + env.phi1[i] * grid ** (env.m1[i] - 1.0)
         upper = env.phi2[i] * grid ** (env.m2[i] - 1.0) + env.psi2[i]
-        _flag(report.violations, "f", x, grid, fvals, lower, upper, f_slack)
+        _flag(found[i], "f", x, grid, fvals, lower, upper, f_slack)
         # Slices of 32 points: a quadrature call costs ~0.15 ms before its
         # first point, and one over all of ``sub`` would hold every panel of
         # every point at once (~0.3 MB of arrays on the default grid; a
@@ -327,7 +340,10 @@ def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
         Fvals = np.concatenate([n._primitive(i, sub[k:k + 32]) for k in range(0, sub.size, 32)])
         lower = env.psi1[i] * sub + env.phi1[i] / env.m1[i] * sub ** env.m1[i]
         upper = env.phi2[i] / env.m2[i] * sub ** env.m2[i] + env.psi2[i] * sub
-        _flag(report.violations, "F", x, sub, Fvals, lower, upper, F_slack)
+        _flag(found[i], "F", x, sub, Fvals, lower, upper, F_slack)
+    if any(found.values()):
+        for x, key in zip(interior, keys):
+            report.violations += [replace(v, vertex=x) for v in found[first[key]]]
     return report
 
 

@@ -91,6 +91,19 @@ def random_graph_input(rng, n_max=12):
             [(labels[a], labels[b], w) for (a, b), w in edges.items()])
 
 
+def shuffled_path_input(n, seed=0):
+    """(interior, boundary, edges) of the path v0 -- v1 -- ... -- v(n-1) with
+    its two ends as the boundary: the interior labels and the edges come in
+    shuffled orders, so vertex indices do not follow the path."""
+    rng = np.random.default_rng(seed)
+    labels = [f"v{k}" for k in range(n)]
+    interior = labels[1:-1]
+    rng.shuffle(interior)
+    weights = rng.uniform(0.5, 1.5, n - 1).tolist()
+    edges = [(labels[k], labels[k + 1], weights[k]) for k in rng.permutation(n - 1).tolist()]
+    return interior, [labels[0], labels[-1]], edges
+
+
 @st.composite
 def connected_graphs(draw):
     """A connected graph with 2 to 10 vertices, both parts nonempty, weights

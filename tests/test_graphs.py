@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from plap.errors import (
     UnknownEndpoint,
     UnknownVertex,
 )
-from plap.graphs import Graph
+from plap.graphs import Graph, _connected
 
 from conftest import (
     cubic_star_spec,
@@ -33,6 +34,7 @@ from conftest import (
     random_graph,
     random_graph_input,
     random_power_spec,
+    shuffled_path_input,
 )
 
 
@@ -86,11 +88,35 @@ def test_unknown_endpoint_rejected():
     ([("a", "b", float("nan"))], NonPositiveWeight, "edge ('a', 'b') has weight nan, need > 0"),
     ([("a", "b", float("inf"))], NonPositiveWeight, "edge ('a', 'b') has weight inf, need > 0"),
     ([("a", "b", 1.0), ("b", "a", 2.0)], DuplicateVertex, "duplicate edge ('a', 'b')"),
+    # The first unknown endpoint in edge order, head before tail, is named.
+    ([("a", "zz", 1.0), ("yy", "b", 1.0)], UnknownEndpoint,
+     "edge endpoint 'zz' is not a declared vertex"),
+    ([("xx", "zz", 1.0)], UnknownEndpoint, "edge endpoint 'xx' is not a declared vertex"),
+    ([("a", 5, 1.0)], UnknownEndpoint, "edge endpoint 5 is not a declared vertex"),
+    # Unknown endpoints come before self-loops, and self-loops before weights.
+    ([("a", "a", 1.0), ("a", "zz", 1.0)], UnknownEndpoint,
+     "edge endpoint 'zz' is not a declared vertex"),
+    ([("a", "b", -1.0), ("b", "b", 1.0)], SelfLoop, "self-edge at 'b'"),
 ], ids=["unknown-head", "unknown-tail", "self-loop", "weight-0", "weight-negative",
-        "weight-nan", "weight-inf", "duplicate-edge"])
+        "weight-nan", "weight-inf", "duplicate-edge", "unknown-tail-before-later-head",
+        "unknown-head-before-tail", "unknown-non-string", "unknown-before-self-loop",
+        "self-loop-before-weight"])
 def test_each_single_fault_raises_its_exact_message(edges, error, message):
     with pytest.raises(error) as info:
         build_graph(["a"], ["b"], edges)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("interior, boundary, error, message", [
+    (["a", 3], ["b"], DuplicateVertex, "vertex labels must be nonempty strings, got 3"),
+    (["a"], ["", "b"], DuplicateVertex, "vertex labels must be nonempty strings, got ''"),
+    (["a", "b"], ["b", "a"], OverlappingSets, "vertices in both sets: ['a', 'b']"),
+    (["a", "c", "c"], ["b", "b"], DuplicateVertex, "vertex 'c' appears more than once"),
+    ([], ["b"], EmptySet, "interior and boundary vertex sets must both be nonempty"),
+], ids=["non-string", "empty", "overlap", "repeated", "empty-set"])
+def test_each_label_fault_raises_its_exact_message(interior, boundary, error, message):
+    with pytest.raises(error) as info:
+        build_graph(interior, boundary, [("a", "b", 1.0)])
     assert str(info.value) == message
 
 
@@ -183,6 +209,16 @@ def test_validation_flags_malformed_pairs(stored, failing):
     assert [c.name for c in report.failures()] == [failing]
 
 
+def test_validation_keys_int32_pairs_of_a_large_graph_in_int64():
+    # row * n + col passes 2^31 here, so an int32 key would wrap around.
+    g = build_graph(*shuffled_path_input(50_000))
+    narrow = Graph(g.interior, g.boundary, (g.ordered_pairs[0].astype(np.int32),
+                                            g.ordered_pairs[1].astype(np.int32),
+                                            g.ordered_pairs[2]))
+    report = validate_graph(narrow)
+    assert report.passed, report.failures()
+
+
 def test_validation_reports_a_graph_without_vertices():
     empty = np.zeros(0, dtype=np.int64)
     report = validate_graph(Graph((), (), (empty, empty, np.zeros(0))))
@@ -257,3 +293,93 @@ def test_vertex_order_is_insertion_order():
     g = build_graph(["b", "a"], ["z", "y"],
                     [("b", "z", 1.0), ("a", "y", 1.0), ("a", "b", 1.0)])
     assert g.vertices == ("b", "a", "z", "y")
+
+
+def union_find_connected(n, edges):
+    """Reference: whether the index pairs in ``edges`` join all n vertices."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in range(n)}) == 1
+
+
+def both_directions(edges):
+    """(rows, cols) of index pairs as ``Graph.ordered_pairs`` holds them."""
+    heads, tails = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    rows, cols = np.concatenate((heads, tails)), np.concatenate((tails, heads))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
+
+
+def test_connectivity_matches_a_union_find_reference():
+    rng = np.random.default_rng(28)
+    verdicts = []
+    for _ in range(250):
+        interior, boundary, edges = random_graph_input(rng, n_max=30)
+        labels = interior + boundary
+        n, index = len(labels), {v: i for i, v in enumerate(labels)}
+        pairs = [(index[a], index[b]) for a, b, _ in edges]
+        bridges = [e for e in pairs if not union_find_connected(n, [f for f in pairs if f != e])]
+        lone = int(rng.integers(n))
+        variants = [pairs, [e for e in pairs if lone not in e],
+                    [e for k, e in enumerate(pairs) if k != rng.integers(len(pairs))]]
+        if bridges:
+            cut = bridges[int(rng.integers(len(bridges)))]
+            variants.append([e for e in pairs if e != cut])
+        for kept in variants:
+            expected = union_find_connected(n, kept)
+            assert _connected(n, *both_directions(kept)) == expected
+            picked = [(labels[a], labels[b], 1.0) for a, b in kept]
+            if expected:
+                assert validate_graph(build_graph(interior, boundary, picked)).passed
+            else:
+                with pytest.raises(Disconnected):
+                    build_graph(interior, boundary, picked)
+            verdicts.append(expected)
+    assert sum(verdicts) > 300 and len(verdicts) - sum(verdicts) > 300
+
+
+def tree_family(kind, n, rng):
+    """Edges of a path, cycle, star or random tree on n vertices whose
+    indices are shuffled, so that no family follows the vertex order."""
+    perm = rng.permutation(n)
+    k = np.arange(1, n)
+    if kind in ("path", "cycle"):
+        parent = k - 1
+    elif kind == "star":
+        parent = np.zeros(n - 1, dtype=np.int64)
+    else:
+        parent = (rng.random(n - 1) * k).astype(np.int64)
+    edges = np.column_stack((perm[k], perm[parent]))
+    if kind == "cycle":
+        edges = np.vstack((edges, [[perm[-1], perm[0]]]))
+    return edges
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle", "star", "tree"])
+@pytest.mark.parametrize("n", [3, 17, 1000, 10 ** 5])
+def test_connectivity_on_shuffled_families(kind, n):
+    rng = np.random.default_rng([n, len(kind)])
+    edges = tree_family(kind, n, rng)
+    assert _connected(n, *both_directions(edges))
+    assert not _connected(n + 1, *both_directions(edges))  # one vertex left alone
+    cut = np.delete(edges, int(rng.integers(len(edges))), axis=0)
+    # A tree edge is a bridge; a cycle stays connected without any one edge.
+    assert _connected(n, *both_directions(cut)) == (kind == "cycle")
+
+
+def test_shuffled_path_of_1e5_vertices_builds_and_validates_in_half_a_second():
+    interior, boundary, edges = shuffled_path_input(10 ** 5)
+    t0 = time.perf_counter()
+    g = build_graph(interior, boundary, edges)
+    report = validate_graph(g)
+    elapsed = time.perf_counter() - t0
+    assert report.passed and g.n_vertices == 10 ** 5
+    assert elapsed < 0.5, f"build and validate took {elapsed:.2f} s"

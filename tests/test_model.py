@@ -1,4 +1,6 @@
 import math
+import re
+import time
 import warnings
 
 import numpy as np
@@ -7,11 +9,14 @@ from mpmath import mp, mpf
 
 from plap import (
     ArctanPower,
+    CustomNonlinearity,
     ExponentField,
     GrowthEnvelope,
     Potential,
     PowerPlus,
+    Nonlinearity,
     ProblemSpec,
+    build_graph,
     check_envelope,
     eval_f,
     instance_constants,
@@ -19,7 +24,12 @@ from plap import (
 )
 from plap.errors import DomainError, InvariantError, NegativeArgument
 
-from conftest import make_path_graph, make_triangle_pendant_graph, random_power_spec
+from conftest import (
+    make_path_graph,
+    make_triangle_pendant_graph,
+    random_power_spec,
+    shuffled_path_input,
+)
 
 
 def triangle_fields(graph, m_of_i):
@@ -191,6 +201,82 @@ def test_envelope_report_matches_a_point_by_point_scan(kind):
     assert got == _violations_point_by_point(f, np.linspace(0.0, 20.0, 512))
     assert {(w, x) for w, x, *_ in got} == {(w, x) for w in ("f_lower", "f_upper", "F_lower",
                                                                 "F_upper") for x in g.interior}
+
+
+def interior_path(k):
+    """x1 .. xk in a row between the boundary vertices x0 and x(k+1)."""
+    labels = [f"x{i}" for i in range(k + 2)]
+    return build_graph(labels[1:-1], [labels[0], labels[-1]],
+                       [(a, b, 1.0) for a, b in zip(labels, labels[1:])])
+
+
+@pytest.mark.parametrize("kind", ["power_plus", "arctan_power"])
+def test_envelope_check_per_distinct_row_matches_the_per_vertex_scan(kind):
+    g = interior_path(8)
+    # (m, phi, psi) rows: x1 = x4 = x7, x2 = x5, and x3, x6, x8 alone.
+    m = [3.0, 2.5, 4.0, 3.0, 2.5, 3.5, 3.0, 2.2]
+    phi = [1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0]
+    psi = [0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 2.0]
+    f = PowerPlus(g, phi=phi, m=m, psi=psi) if kind == "power_plus" \
+        else ArctanPower(g, m=m, phi=phi, psi=psi)
+    # Half the slope breaks the upper bounds at x2, x4 and x5, and a raised
+    # offset the lower bound at x8.  x4 shares its parameters with x1 and x7
+    # but not its envelope row.
+    env = f.envelope
+    phi2 = np.where(np.isin(np.arange(8), [1, 3, 4]), 0.5, 1.0) * env.phi2
+    psi1 = env.psi1 + np.where(np.arange(8) == 7, 10.0, 0.0)
+    f.envelope = GrowthEnvelope(g, m1=env.m1, m2=env.m2, phi1=env.phi1, phi2=phi2,
+                                psi1=psi1, psi2=env.psi2)
+    checked, rate = [], f._rate
+
+    def counted(i, t):
+        if isinstance(i, int):  # check_envelope's own calls, not the quadrature's
+            checked.append(i)
+        return rate(i, t)
+
+    f._rate = counted
+    got = [(v.which, v.vertex, v.t, v.value, v.bound) for v in check_envelope(f).violations]
+    del f._rate
+    assert sorted(checked) == [0, 1, 2, 3, 5, 7]  # each row at its first vertex
+    assert got == _violations_point_by_point(f, np.linspace(0.0, 20.0, 512))
+    assert {x for _, x, *_ in got} == {"x2", "x4", "x5", "x8"}
+
+
+class LabelBump(Nonlinearity):
+    """f(x, t) = 1 + t, plus 10 at x3: f reads the label, and ``_params``
+    stays empty, the same for every vertex."""
+
+    def _rate(self, i, t):
+        return 1.0 + t + 10.0 * (np.array(self.graph.interior)[i] == "x3")
+
+
+@pytest.mark.parametrize("make", [
+    lambda g, env: LabelBump(g, env),
+    lambda g, env: CustomNonlinearity(g, lambda x, t: 1.0 + t + 10.0 * (x == "x3"), env),
+], ids=["empty-params", "custom"])
+def test_envelope_check_of_a_label_dependent_f_flags_only_its_vertex(make):
+    g = interior_path(4)
+    f = make(g, GrowthEnvelope(g, m1=2.0, m2=2.0, phi1=1.0, phi2=1.0, psi1=1.0, psi2=1.0))
+    grid = np.linspace(0.0, 20.0, 64)
+    got = [(v.which, v.vertex, v.t, v.value, v.bound) for v in check_envelope(f, grid).violations]
+    assert got == _violations_point_by_point(f, grid)
+    assert {x for _, x, *_ in got} == {"x3"}
+    assert {w for w, *_ in got} == {"f_upper", "F_upper"}
+
+
+def test_map_field_over_20000_vertices_validates_in_well_under_a_second():
+    interior, boundary, edges = shuffled_path_input(20_002)
+    g = build_graph(interior, boundary, edges)
+    q = {v: 1.0 + k % 3 for k, v in enumerate(reversed(interior))}
+    t0 = time.perf_counter()
+    values = Potential(g, q).values
+    elapsed = time.perf_counter() - t0
+    assert values.tolist() == [q[v] for v in g.interior]
+    assert elapsed < 0.25, f"a 20,000-vertex map took {elapsed:.2f} s"
+    q = {"zz": 1.0, **q, boundary[0]: 1.0, "aa": 1.0}
+    with pytest.raises(InvariantError, match=re.escape(
+            f"q: unknown vertices ['zz', '{boundary[0]}', 'aa']")):
+        Potential(g, q)
 
 
 def test_instance_constants_triangle():

@@ -100,7 +100,8 @@ class ValidationReport:
         self.checks.append(CheckResult(name, bool(passed), detail))
 
 
-def _index_labels(interior: Sequence[VertexId], boundary: Sequence[VertexId]) -> dict:
+def _index_labels(interior: Sequence[VertexId],
+                  boundary: Sequence[VertexId]) -> dict[VertexId, int]:
     """The vertex index (interior first) of checked labels."""
     if not interior or not boundary:
         raise EmptySet("interior and boundary vertex sets must both be nonempty")

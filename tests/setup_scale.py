@@ -13,10 +13,11 @@ with p = 3 and f = t^1.5 + 1, the ``grid_direct`` workload's shape:
 
     PYTHONPATH=src python tests/setup_scale.py [side ...]
 
-Given sides, it prints those grids only, without the path.  It runs in about 10 s on one core of a 2-vCPU Xeon.  Before connectivity
-became min-label hooking, the envelope check one check per distinct
-parameter row and the unknown-label check a set lookup, the same command
-took over 10 minutes there, most of it in ``load_problem`` at 10^5 vertices.
+Given sides, it prints those grids only, without the path.  It runs in
+about 10 s on one core of a 2-vCPU Xeon.  Before connectivity became
+min-label hooking, the envelope check one check per distinct parameter row
+and the unknown-label check a set lookup, the same command took over 10
+minutes there, most of it in ``load_problem`` at 10^5 vertices.
 """
 
 from __future__ import annotations

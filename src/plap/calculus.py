@@ -1,8 +1,8 @@
 """Discrete p(x)-calculus on a weighted graph.
 
-Implements the edge flux of the p(x)-Laplacian (one kernel for the operator,
-energy gradient, residual and pairings), the p(x)-gradient and p(x)-Laplacian
-at a vertex, graph integration, the Green-type pairing, and the norm /
+Implements the edge flux of the p(x)-Laplacian over ordered pairs (for the
+operator and the pairings), the p(x)-gradient and p(x)-Laplacian at a
+vertex, graph integration, the Green-type pairing, and the norm /
 sign-splitting machinery of the Dirichlet space A (zero on the boundary).
 """
 
@@ -28,12 +28,6 @@ def signed_power(d: float, p: float) -> float:
     if d == 0.0:
         return 0.0
     return math.copysign(abs(d) ** (p - 1.0), d)
-
-
-def _signed_power_vec(d: np.ndarray, p_m1) -> np.ndarray:
-    # sign(d)*|d|**(p-1) from p_m1 = p - 1 (an array or one float);
-    # |0|**(p-1) = 0 for p >= 2, so no masking needed.
-    return np.copysign(np.abs(d) ** p_m1, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,13 +95,13 @@ def edge_flux(g: Graph, p_rows_m1, uv: np.ndarray) -> np.ndarray:
     """a_k = |u(r)-u(c)|^(p(r)-2) (u(r)-u(c)) w(r,c) over ``g.ordered_pairs``,
     along the last axis of ``uv`` (a vertex array or a (K, n_vertices) stack).
 
-    The one edge term of the p(x)-Laplacian (``p_rows_m1`` is p - 1 at the
-    rows, or one float for a uniform p): ``minus_laplacian`` sums it per
-    row, the gradient of J takes half its row sums minus half its column
-    sums, and ``edge_pairing`` pairs it with v.
+    The edge term of the p(x)-Laplacian (``p_rows_m1`` is p - 1 at the
+    rows, or one value for a uniform p): ``minus_laplacian`` sums it per row
+    and ``edge_pairing`` pairs it with v.
     """
     rows, cols, w = g.ordered_pairs
-    return _signed_power_vec(gather(uv, rows) - gather(uv, cols), p_rows_m1) * w
+    d = gather(uv, rows) - gather(uv, cols)
+    return np.copysign(np.abs(d) ** p_rows_m1, d) * w  # |0|^(p-1) = 0 for p >= 2
 
 
 def gather(uv: np.ndarray, index: np.ndarray) -> np.ndarray:

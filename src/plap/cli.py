@@ -7,6 +7,7 @@ Reports are UTF-8 JSON on stdout (CSV for sweep).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, replace
@@ -55,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # one parser for every call: parse_args leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="plap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

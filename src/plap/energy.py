@@ -23,15 +23,15 @@ with per-vertex exponents the plain p(x)-Laplacian is not a gradient field,
 and the original-operator residual is reported separately by
 ``residual_original``.
 
-The Hessian of J at u applied to x is half the row sums minus half the
-column sums of c_k (x(r)-x(c)) over the ordered pairs k = (r, c), with
-c_k = (p(r)-1) |u(r)-u(c)|^(p(r)-2) w_k, plus the diagonal
-q (p-1) |u|^(p-2) - lambda d_t f(u_plus) times x; d_t f is 0 where u < 0,
-where the source is linear.  ``EvaluationKernel`` holds these formulas once
-per instance, with J at every single-vertex spike t e_i; every public
-function below and every solver routine reads it.  J and grad J share one
-pass over the pairs, which computes either or both: the descent asks for
-both at every point it evaluates.
+``EvaluationKernel`` holds these formulas once per instance, over edges
+(i, j) of weight w: with d = u(i) - u(j), J sums |d|^p w / p, grad J takes
+sp(d, p) w at i and its negative at j, and the Hessian applied to x takes
+(p-1) |d|^(p-2) w (x(i) - x(j)) at i and its negative at j, plus the
+diagonal q (p-1) |u|^(p-2) - lambda d_t f(u_plus) times x (d_t f is 0 where
+u < 0, where the source is linear).  A uniform p holds each undirected edge
+once; a per-vertex p holds every ordered pair, at half weight and with its
+row's p, which gives the formulas above.  Every public function below and
+every solver routine reads the kernel.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (DirichletFunction, VertexFunction, _as_values, edge_flux, gather,
-                       index_sums, minus_laplacian)
+from .calculus import DirichletFunction, VertexFunction, _as_values, gather, index_sums
 from .errors import NegativeArgument, QuadratureFailure
-from .model import ProblemSpec
+from .model import ProblemSpec, _uniform
 
 
 class EvaluationKernel:
@@ -55,30 +54,26 @@ class EvaluationKernel:
     ``energy_gradient`` (with ``terms`` and ``gradient_at``) also take a
     (K, n) stack of vectors and answer row by row with the same formulas,
     sums running along the last axis.  All of them run ``_pass``, which
-    computes J and grad J from one set of gathers and one power per pair and
-    per vertex; ``energy_gradient`` asks it for both, at 71-80% of the cost
-    of an ``energy`` and a ``gradient`` call on 3x3 to 16x16 grids (21, 23,
-    34 and 208 us per call on p = 3 grids of 3x3, 8x8, 16x16 and 64x64; 2
-    vCPUs, numpy 2.4.6).  A uniform p is kept as a float, so its kernel owns
-    one per-pair array, w/(2p)."""
+    computes J and grad J from one set of gathers, one power per edge and
+    one per vertex; ``energy_gradient`` asks it for both (22, 30 and 137 us
+    per call on p = 3 grids of 8x8, 16x16 and 64x64; 2 vCPUs, numpy 2.4.6).
+    The kernel of a uniform p owns one per-edge float array, the weights."""
 
     def __init__(self, spec: ProblemSpec):
         g = spec.graph
-        self.graph = g
-        self.n = g.n_interior
-        self.n_vertices = g.n_vertices
-        self.rows, self.cols, self.w = g.ordered_pairs
-        # p - 1 at the rows and at the interior: a Python float when p is
-        # uniform, which numpy broadcasts (and squares for p = 3).
-        p_rows, p_int = spec.p.values[self.rows], spec.p.interior()
-        self.pm1, self.pm1_int = _uniform(p_rows) - 1.0, _uniform(p_int) - 1.0
-        self.w_2p = self.w / (2.0 * p_rows)
-        # each pair's reverse, which the gradient reads only when p varies
-        self.rev = None if isinstance(self.pm1, float) else np.lexsort((self.rows, self.cols))
-        self.q = spec.q.values
-        self.q_p = self.q / p_int
-        self.lam = spec.lam
-        self.f = spec.f
+        self.graph, self.n, self.n_vertices = g, g.n_interior, g.n_vertices
+        rows, cols, w = g.ordered_pairs
+        # A uniform p is a float, for the division of a sum, and p - 1 a 0-d
+        # array (``_uniform``), for the powers.
+        p, p_int = _uniform(spec.p.values), _uniform(spec.p.interior())
+        if p.ndim == 0:  # each edge once, as its pair (row, col) with row < col
+            upper = rows < cols
+            self.ei, self.ej, self.we, self.p = rows[upper], cols[upper], w[upper], float(p)
+        else:  # every pair, with half its weight and the exponent of its row
+            self.ei, self.ej, self.we, self.p = rows, cols, 0.5 * w, p[rows]
+        self.p_int = float(p_int) if p_int.ndim == 0 else p_int
+        self.pm1, self.pm1_int = np.asarray(self.p - 1.0), np.asarray(self.p_int - 1.0)
+        self.q, self.lam, self.f = spec.q.values, spec.lam, spec.f
         self.f0 = spec.f.rate_vector(np.zeros(self.n))  # the source's slope below zero
         self.pad = np.zeros(g.n_boundary)
 
@@ -89,48 +84,44 @@ class EvaluationKernel:
             return np.concatenate((v, self.pad))
         return np.concatenate((v, np.zeros((len(v), self.pad.size))), axis=1)
 
-    def _primitive(self, t: np.ndarray) -> np.ndarray:
-        # F at t >= 0.  Far out, f may overflow and leave the quadrature
-        # without a value: F, and so J, is NaN in that row, and every search
-        # rejects a non-finite J as it rejects an overflow.
+    def _source(self, t: np.ndarray, energy: bool, gradient: bool):
+        """(f, F) at t >= 0, None in place of the part not asked for.  Far
+        out, f may overflow and leave the quadrature without a value: F, and
+        so J, is NaN in that row, which every search rejects."""
+        if not energy:
+            return self.f.rate_vector(t), None
         try:
-            return self.f.primitive_vector(t)
+            return self.f.rate_and_primitive(t) if gradient else (None, self.f.primitive_vector(t))
         except QuadratureFailure:
-            if t.ndim == 1:
-                return np.full(t.shape, np.nan)
-            return np.stack([self._primitive(row) for row in t])
+            F = (np.full(t.shape, np.nan) if t.ndim == 1
+                 else np.stack([self._source(row, True, False)[1] for row in t]))
+            return (self.f.rate_vector(t) if gradient else None), F
 
     def _pass(self, uv: np.ndarray, energy: bool, gradient: bool):
         """((dirichlet, potential, source, J), grad J) at the vertex array uv,
-        None in place of the part not asked for.  Both parts read one power
-        of each pair's |u(r) - u(c)| and one of each |u(x)|."""
-        n, nv, rows = self.n, self.n_vertices, self.rows
-        ui = uv[..., :n]
+        None in place of the part not asked for, from one power of each
+        edge's |u(i) - u(j)| and one of each |u(x)|."""
+        n, nv, ui = self.n, self.n_vertices, uv[..., :self.n]
         parts = grad = None
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = gather(uv, rows) - gather(uv, self.cols)
-            d, abs_u, u_plus = np.abs(diff), np.abs(ui), np.maximum(ui, 0.0)
-            t, s = d ** self.pm1, abs_u ** self.pm1_int
+            diff = gather(uv, self.ei) - gather(uv, self.ej)
+            d, abs_u = np.abs(diff), np.abs(ui)
+            t, s = d ** self.pm1 * self.we, abs_u ** self.pm1_int * self.q
+            f, F = self._source(np.maximum(ui, _ZERO), energy, gradient)
             if energy:
-                dirichlet = np.add.reduce(t * d * self.w_2p, -1)
-                potential = np.add.reduce(s * abs_u * self.q_p, -1)
+                dirichlet = _sum_over(t * d, self.p)  # the sum of |d|^p w / p
+                potential = _sum_over(s * abs_u, self.p_int)
                 # F at u_plus plus the linear continuation below zero
-                source = self.lam * np.add.reduce(
-                    self._primitive(u_plus) + self.f0 * np.minimum(ui, 0.0), -1)
+                source = self.lam * np.add.reduce(F + self.f0 * np.minimum(ui, _ZERO), -1)
                 # Where two terms overflow, J is inf - inf: NaN, which the
                 # descent rejects.  Python floats give it silently.
                 J = (float(dirichlet) + float(potential) - float(source) if uv.ndim == 1
                      else dirichlet + potential - source)
                 parts = dirichlet, potential, source, J
             if gradient:
-                # a_k is twice pair k's term, and the edge part at x is the
-                # row sum of (a_k - a_rev(k)) / 2; a uniform p has
-                # a_rev(k) = -a_k exactly, so there it is the row sum of a
-                a = np.copysign(t, diff) * self.w
-                if self.rev is not None:
-                    a = 0.5 * a
-                    a = a - gather(a, self.rev)
-                grad = self._operator(index_sums(rows, a, nv)[..., :n], ui, s, u_plus)
+                a = np.copysign(t, diff)  # sp(diff, p) w, at i and negated at j
+                edge = index_sums(self.ei, a, nv) - index_sums(self.ej, a, nv)
+                grad = edge[..., :n] + np.copysign(s, ui) - self.lam * f
         return parts, grad
 
     def terms(self, uv: np.ndarray):
@@ -141,12 +132,6 @@ class EvaluationKernel:
     def energy(self, v: np.ndarray):
         """J at the interior vector v, or a (K,) array for a (K, n) stack."""
         return self._pass(self.full(v), True, False)[0][3]
-
-    def _operator(self, edge: np.ndarray, ui: np.ndarray, s: np.ndarray,
-                  t: np.ndarray) -> np.ndarray:
-        # edge part + q sp(u, p) - lambda f(t) at the interior vertices, with
-        # s = |u|^(p-1)
-        return edge + self.q * np.copysign(s, ui) - self.lam * self.f.rate_vector(t)
 
     def gradient_at(self, uv: np.ndarray) -> np.ndarray:
         """grad J at the interior vertices of the vertex array uv (row by row
@@ -165,50 +150,59 @@ class EvaluationKernel:
         return parts[3], grad
 
     def residual(self, uv: np.ndarray) -> float:
-        """Sup-norm over the interior of the original operator at uv >= 0."""
-        ui = uv[: self.n]
+        """Sup-norm over the interior of the original operator at uv >= 0.
+        Its edge part at x sums sp(u(x) - u(y), p(x)) w over the edges at x:
+        the row sums of a minus its column sums, or twice its row sums over
+        the half-weight pairs of a per-vertex p."""
+        n, nv, ui = self.n, self.n_vertices, uv[: self.n]
         with np.errstate(over="ignore", invalid="ignore"):
-            val = self._operator(
-                minus_laplacian(self.graph, edge_flux(self.graph, self.pm1, uv))[: self.n],
-                ui, np.abs(ui) ** self.pm1_int, ui)
+            diff = uv[self.ei] - uv[self.ej]
+            a = np.copysign(np.abs(diff) ** self.pm1 * self.we, diff)
+            rows = np.bincount(self.ei, a, nv)[:n]
+            val = ((rows - np.bincount(self.ej, a, nv)[:n] if type(self.p) is float else 2.0 * rows)
+                   + np.copysign(np.abs(ui) ** self.pm1_int, ui) * self.q
+                   - self.lam * self.f.rate_vector(ui))
         return float(np.abs(val).max())
 
     def hessian(self, v: np.ndarray):
-        """x -> H x, H the exact Hessian of J at the interior vector v; c_k
-        and the diagonal are computed once, here."""
-        rows, cols, n, nv = self.rows, self.cols, self.n, self.n_vertices
+        """x -> H x, H the exact Hessian of J at the interior vector v; c =
+        (p-1) |u(i) - u(j)|^(p-2) w and the diagonal are computed once, here."""
+        ei, ej, n, nv = self.ei, self.ej, self.n, self.n_vertices
         with np.errstate(over="ignore", invalid="ignore"):
             uv = self.full(v)
-            c = self.pm1 * np.abs(uv[rows] - uv[cols]) ** (self.pm1 - 1.0) * self.w
+            c = self.pm1 * np.abs(uv[ei] - uv[ej]) ** (self.pm1 - 1.0) * self.we
             slope = np.where(v < 0.0, 0.0, self.f.slope_vector(np.maximum(v, 0.0)))
             diag = self.q * self.pm1_int * np.abs(v) ** (self.pm1_int - 1.0) - self.lam * slope
 
         def product(x: np.ndarray) -> np.ndarray:
             xv = self.full(x)
             with np.errstate(over="ignore", invalid="ignore"):
-                e = c * (xv[rows] - xv[cols])
-                return 0.5 * (np.bincount(rows, e, nv)[:n] - np.bincount(cols, e, nv)[:n]) \
-                    + diag * x
+                e = c * (xv[ei] - xv[ej])
+                return np.bincount(ei, e, nv)[:n] - np.bincount(ej, e, nv)[:n] + diag * x
 
         return product
 
     def spike_energies(self, t: float, F0: np.ndarray) -> np.ndarray:
         """J(t e_i) for every interior i at once, F0 the primitive at zero:
-        the edge term of the pairs at row i or column i, the potential and
-        source at i, and F_j(0) elsewhere."""
+        the terms of the edges at i, the potential and source at i, and
+        F_j(0) elsewhere."""
         n, nv = self.n, self.n_vertices
-        # np.power: a float t and a uniform p would give Python's power,
-        # which raises on overflow
-        a = np.power(t, self.pm1) * t * self.w_2p
-        dirichlet = np.bincount(self.rows, a, nv)[:n] + np.bincount(self.cols, a, nv)[:n]
-        potential = np.power(t, self.pm1_int) * t * self.q_p
+        # an edge's term at |u(i) - u(j)| = t; np.power: a float t and a
+        # uniform p would give Python's power, which raises on overflow
+        e = np.power(t, self.p) / self.p * self.we
+        dirichlet = np.bincount(self.ei, e, nv)[:n] + np.bincount(self.ej, e, nv)[:n]
+        potential = np.power(t, self.p_int) * self.q / self.p_int
         Ft = self.f.primitive_vector(np.full(n, t))
         return dirichlet + potential - self.lam * (F0.sum() - F0 + Ft)
 
 
-def _uniform(a: np.ndarray) -> np.ndarray | float:
-    """a's one value as a float when every entry holds it, else a."""
-    return float(a[0]) if a.size and (a == a[0]).all() else a
+_ZERO = np.zeros(())  # 0-d: faster in ufuncs than the Python float 0.0
+
+
+def _sum_over(x: np.ndarray, p) -> np.ndarray:
+    """The sums of x / p along the last axis, one division per sum for a
+    float p."""
+    return np.add.reduce(x, -1) / p if type(p) is float else np.add.reduce(x / p, -1)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,12 @@ from .quadrature import panel_quadrature
 _SLOPE_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 
+def _uniform(a: np.ndarray) -> np.ndarray:
+    """a's one value as a 0-d array when every entry holds it, else a: numpy's
+    fast powers, as for a float, without a float's 0.25 us conversion."""
+    return np.array(a[0]) if a.size and (a == a[0]).all() else a
+
+
 def _vertex_array(graph: Graph, data, labels: Sequence[VertexId], what: str,
                   lo: float = 0.0, closed: bool = False) -> np.ndarray:
     """The read-only values of field ``what`` over ``labels`` (the interior
@@ -119,7 +125,8 @@ class Nonlinearity:
     ``i = None`` is the whole interior (``rate_vector``, ``primitive_vector``,
     ``slope_vector``), read along the last axis of t, which may be a (K, n)
     stack.  The slope d_t f is a difference quotient of ``_rate``
-    unless a subclass writes it in closed form.
+    unless a subclass writes it in closed form, and ``rate_and_primitive``
+    calls both vector forms unless a subclass shares work between them.
     """
 
     kind = "custom"
@@ -130,9 +137,9 @@ class Nonlinearity:
         self.envelope = envelope
 
     def _at(self, i):
-        # The whole interior reads the arrays unindexed: indexing them, even
-        # with slice(None), costs about 0.5 us per call.
-        return self._params if i is None else [a[i] for a in self._params]
+        # The whole interior reads the arrays (or ``_whole``) unindexed:
+        # indexing them, even with slice(None), costs about 0.5 us per call.
+        return getattr(self, "_whole", self._params) if i is None else [a[i] for a in self._params]
 
     def _primitive(self, i, t):
         if i is None:  # t is one value per interior vertex along its last axis
@@ -146,6 +153,10 @@ class Nonlinearity:
 
     def primitive_vector(self, t: np.ndarray) -> np.ndarray:
         return self._primitive(None, t)
+
+    def rate_and_primitive(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(f, F) over the interior at t >= 0."""
+        return self.rate_vector(t), self.primitive_vector(t)
 
     def slope_vector(self, t: np.ndarray) -> np.ndarray:
         """d_t f over the interior at t >= 0: a central difference of
@@ -186,16 +197,26 @@ class PowerPlus(Nonlinearity):
         # m - 1 and phi / m once here, not on every call
         self._params = (self.phi, self.m, self.psi, self.m - 1.0, self.phi / self.m)
 
+    @cached_property
+    def _whole(self):  # the whole interior reads a uniform parameter as one value
+        return tuple(map(_uniform, self._params))
+
     def _rate(self, i, t):
         phi, _, psi, m_1, _ = self._at(i)
         return phi * t ** m_1 + psi
 
     def _primitive(self, i, t):
-        _, m, psi, _, phi_m = self._at(i)
-        return phi_m * t ** m + psi * t
+        _, _, psi, m_1, phi_m = self._at(i)
+        return t * (phi_m * t ** m_1 + psi)
+
+    def rate_and_primitive(self, t):
+        # one power for both: F = t (phi/m t^(m-1) + psi)
+        phi, _, psi, m_1, phi_m = self._whole
+        tm = t ** m_1
+        return phi * tm + psi, t * (phi_m * tm + psi)
 
     def slope_vector(self, t):
-        phi, m, _, m_1, _ = self._params
+        phi, m, _, m_1, _ = self._whole
         return phi * m_1 * t ** (m - 2.0)
 
 

@@ -70,10 +70,19 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
+def _finite_numbers(values: list) -> bool:
+    """Whether ``_number`` accepts every value, checked in a few C-level calls."""
+    try:
+        return set(map(type, values)) <= {int, float} and math.isfinite(sum(values))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _field(value: Any, where: str):
     """A per-vertex field: a single number or a {vertex: number} map."""
     if isinstance(value, Mapping):
-        return {str(k): _number(v, f"{where}[{k}]") for k, v in value.items()}
+        return value if _finite_numbers(list(value.values())) else {
+            str(k): _number(v, f"{where}[{k}]") for k, v in value.items()}
     return _number(value, where)
 
 
@@ -87,11 +96,12 @@ def _parse_graph(obj: Any) -> Graph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise SchemaError("graph.edges: expected a list")
-    triples = []
-    for k, e in enumerate(edges):
-        _require_keys(e, _EDGE_KEYS, _EDGE_KEYS, f"graph.edges[{k}]")
-        triples.append((str(e["u"]), str(e["v"]), _number(e["w"], f"graph.edges[{k}].w")))
-    return build_graph(interior, boundary, triples)
+    if not (all(type(e) is dict and e.keys() == _EDGE_KEYS for e in edges)
+            and _finite_numbers([e["w"] for e in edges])):
+        for k, e in enumerate(edges):  # to raise the first fault's message
+            _require_keys(e, _EDGE_KEYS, _EDGE_KEYS, f"graph.edges[{k}]")
+            _number(e["w"], f"graph.edges[{k}].w")
+    return build_graph(interior, boundary, [(str(e["u"]), str(e["v"]), e["w"]) for e in edges])
 
 
 def _parse_nonlinearity(obj: Any, graph: Graph) -> Nonlinearity:

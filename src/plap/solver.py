@@ -149,12 +149,12 @@ def _residual_measure(constraint: Constraint, v: np.ndarray, g: np.ndarray) -> f
     return float(np.abs(v - _project(constraint, v - g)).max())
 
 
-def _bb_step(s: np.ndarray, y: np.ndarray, default: float) -> float:
+def _bb_step(s: np.ndarray, y: np.ndarray, default: float, ss: float | None = None) -> float:
     """The Barzilai-Borwein step <s, s>/<s, y> clamped to [_BB_LO, _BB_HI],
-    or ``default`` when <s, y> <= 0."""
-    sy = float(np.dot(s, y))
+    or ``default`` when <s, y> <= 0; ``ss`` is <s, s> when known."""
+    sy = float(s.dot(y))
     if sy > 0.0:
-        return min(max(float(np.dot(s, s)) / sy, _BB_LO), _BB_HI)
+        return min(max((float(s.dot(s)) if ss is None else ss) / sy, _BB_LO), _BB_HI)
     return default
 
 
@@ -182,8 +182,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
     v = _project(constraint, v)
     J, g = yield v
     recent = collections.deque([J], maxlen=_NONMONOTONE_WINDOW)
-    prev_v: np.ndarray | None = None
-    prev_g: np.ndarray | None = None
+    prev_g: np.ndarray | None = None  # with s = v - v_prev, the last step, and <s, s>
     converged = False
     best_residual = math.inf
     since_improved = 0
@@ -203,7 +202,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
                 break  # residual plateaued far above the tolerance
         if float(np.abs(v).max()) > _NORM_BLOWUP or not math.isfinite(J):
             break
-        step = last_step if prev_v is None else _bb_step(v - prev_v, g - prev_g, last_step)
+        step = last_step if prev_g is None else _bb_step(s, g - prev_g, last_step, ss)
         accepted = False
         floor = 32.0 * _EPS * (1.0 + abs(J))
         J_ref = max(recent)
@@ -212,7 +211,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
                 break
             cand = _project(constraint, v - step * g)
             delta = cand - v
-            nd2 = float(np.dot(delta, delta))
+            nd2 = float(delta.dot(delta))
             if nd2 == 0.0:
                 break  # displacement below representable resolution
             Jc, gc = yield cand
@@ -226,7 +225,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
         if not accepted:
             break
         last_step = max(step, _BB_LO)
-        prev_v, prev_g = v, g
+        prev_g, s, ss = g, delta, nd2
         v, J, g = cand, Jc, gc
         recent.append(J)
         it += 1

@@ -122,6 +122,48 @@ def test_non_finite_numbers_rejected(tmp_path, token):
         parse_problem(f)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("edges, p, message", [
+    ([{"u": "v0", "v": "v1", "w": NAN}, {"u": "v1", "v": "v2", "w": 1.0, "x": 0}], 2.0,
+     "graph.edges[0].w: expected a finite number, got nan"),
+    ([{"u": "v0", "v": "v1", "w": 1.0}, {"u": "v1", "v": "v2", "w": 1.0, "x": 0}], 2.0,
+     "graph.edges[1]: unknown keys ['x']"),
+    ([{"u": "v0", "v": "v1"}, {"u": "v1", "v": "v2", "w": NAN}], 2.0,
+     "graph.edges[0]: missing keys ['w']"),
+    ([{"u": "v0", "v": "v1", "w": 1.0}, ["v1", "v2", 1.0]], 2.0,
+     "graph.edges[1]: expected an object"),
+    ([{"u": "v0", "v": "v1", "w": 1}, {"u": "v1", "v": "v2", "w": True}], 2.0,
+     "graph.edges[1].w: expected a number, got True"),
+    ([{"u": "v0", "v": "v1", "w": "1"}, {"u": "v1", "v": "v2", "w": 1.0}], 2.0,
+     "graph.edges[0].w: expected a number, got '1'"),
+    ([{"u": "v0", "v": "v1", "w": 1.0}, {"u": "v1", "v": "v2", "w": 1.0}],
+     {"v0": 2.0, "v1": False, "v2": NAN}, "p[v1]: expected a number, got False"),
+    ([{"u": "v0", "v": "v1", "w": 1.0}, {"u": "v1", "v": "v2", "w": 1.0}],
+     {"v0": 2.0, "v1": NAN, "v2": True}, "p[v1]: expected a finite number, got nan"),
+], ids=["nan-weight", "extra-key", "missing-key", "not-an-object", "bool-weight",
+        "string-weight", "bool-value", "nan-value"])
+def test_first_edge_or_map_fault_names_its_place(edges, p, message):
+    # Well-formed edges and maps are checked in bulk; a fault still gets the
+    # message of the first faulty entry, in file order.
+    doc = base_document()
+    doc["graph"]["edges"], doc["p"] = edges, p
+    with pytest.raises(SchemaError) as exc:
+        parse_document(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_int_weights_and_values_and_an_overflowing_sum_load():
+    doc = base_document()
+    doc["graph"]["edges"] = [{"u": "v0", "v": "v1", "w": 1}, {"u": "v1", "v": "v2", "w": 1e308},
+                             {"u": "v0", "v": "v2", "w": 1e308}]
+    doc["p"] = {"v0": 2, "v1": 2.0, "v2": 2}
+    spec = parse_document(json.dumps(doc)).spec
+    assert spec.graph.ordered_pairs[2].tolist() == [1.0, 1e308, 1.0, 1e308, 1e308, 1e308]
+    assert spec.p.values.tolist() == [2.0, 2.0, 2.0]
+
+
 def test_nan_lambda_file_exits_2(capsys, tmp_path):
     doc = base_document()
     doc["lambda"] = float("nan")
@@ -524,3 +566,19 @@ def test_fixture_path_unknown_name():
     from plap.errors import PlapError
     with pytest.raises(PlapError):
         fixture_path("no_such_fixture.json")
+
+
+def test_one_parser_serves_every_call_and_dispatches_each_command(capsys):
+    from plap import cli
+
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    extra = {"sweep": ["--lambda-min", "1", "--lambda-max", "2", "--steps", "2"],
+             "certify": ["--solution", "s.json"]}
+    for name in ("validate", "bounds", "solve", "sweep", "certify"):
+        args = parser.parse_args([name, "f.json", *extra.get(name, [])])
+        assert args.command == name and args.handler is getattr(cli, f"_cmd_{name}")
+    # a usage error leaves the shared parser as it was
+    assert run_cli(["solve"], capsys)[0] == 1
+    code, out, _ = run_cli(["validate", str(cubic_file())], capsys)
+    assert code == 0 and json.loads(out)["command"] == "validate"

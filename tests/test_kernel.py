@@ -195,31 +195,61 @@ def test_gradient_matches_reference_loop(case):
                 assert_close(grad[i], gradient_terms(spec, uv, i))
 
 
-def test_uniform_exponent_kernel_holds_one_per_pair_array():
+def test_uniform_exponent_kernel_holds_one_per_edge_array():
     spec = direct_grid(8, 0, 0)
     kernel = EvaluationKernel(spec)
     rows, cols, w = spec.graph.ordered_pairs
-    assert type(kernel.pm1) is float and type(kernel.pm1_int) is float and kernel.rev is None
-    owned = [name for name, a in vars(kernel).items()
-             if isinstance(a, np.ndarray) and a.size == rows.size
-             and not any(a is b for b in (rows, cols, w))]
-    assert owned == ["w_2p"]
+    E = len(rows) // 2
+    # one p: a float for every edge and for the interior, p - 1 a 0-d array
+    assert type(kernel.p) is float and type(kernel.p_int) is float
+    assert kernel.pm1.shape == kernel.pm1_int.shape == ()
+    assert (kernel.p, kernel.pm1, kernel.p_int, kernel.pm1_int) == (3.0, 2.0, 3.0, 2.0)
+    arrays = {name: a for name, a in vars(kernel).items() if isinstance(a, np.ndarray)}
+    assert [name for name, a in arrays.items() if a.size == E] == ["ei", "ej", "we"]
+    assert [name for name, a in arrays.items() if a.size == E and a.dtype.kind == "f"] == ["we"]
+    assert not any(a.size == rows.size for a in arrays.values())
+    # each edge once, as its pair (row, col) with row < col, in pair order
+    upper = rows < cols
+    assert kernel.ei.size == E and (kernel.ei < kernel.ej).all()
+    for got, want in zip((kernel.ei, kernel.ej, kernel.we), (rows[upper], cols[upper], w[upper])):
+        assert got.tobytes() == want.tobytes()
 
     varied = spec.p.values.copy()
     varied[0] = 4.0
     kernel = EvaluationKernel(ProblemSpec(spec.graph, ExponentField(spec.graph, varied),
                                           spec.q, spec.f, spec.lam))
-    assert kernel.pm1.shape == rows.shape and kernel.pm1_int.shape == (spec.graph.n_interior,)
-    assert (rows[kernel.rev] == cols).all() and (cols[kernel.rev] == rows).all()
+    # a per-vertex p: every pair at half its weight, with its row's exponent
+    assert kernel.ei.tobytes() == rows.tobytes() and kernel.ej.tobytes() == cols.tobytes()
+    assert (kernel.we == 0.5 * w).all() and (kernel.p == varied[rows]).all()
+    assert (kernel.pm1 == kernel.p - 1.0).all() and kernel.p_int.shape == (spec.graph.n_interior,)
+    # no reverse index: the only integer arrays are the edge ends
+    assert [name for name, a in vars(kernel).items()
+            if isinstance(a, np.ndarray) and a.dtype.kind in "iu"] == ["ei", "ej"]
 
 
-def test_uniform_exponent_skips_the_reverse_gather_with_the_same_bits():
-    # With one p the reverse pair's term is exactly the negated term, so
-    # reading it changes no bit of the gradient.
+def test_one_exponent_residual_is_the_gradient_and_pairs_agree_with_edges():
     spec = direct_grid(8, 0, 0)
-    rows, cols, _ = spec.graph.ordered_pairs
+    g, fast = spec.graph, spec._kernel
+    n = g.n_interior
+    rng = np.random.default_rng(3)
+    # With one p the original operator is grad J wherever u >= 0: the same
+    # fluxes, summed in the same order, bit for bit (nonzero boundary too).
+    uv = rng.uniform(0.0, 1.5, g.n_vertices)
+    assert fast.residual(uv) == float(np.abs(fast.gradient_at(uv)).max())
+
+    # The per-vertex layout (every pair at half weight) at this one p gives
+    # the edge layout's values; the sums run in another order.
+    rows, cols, w = g.ordered_pairs
     slow = EvaluationKernel(spec)
-    slow.rev = np.lexsort((rows, cols))
-    stack = np.random.default_rng(3).uniform(-0.5, 1.5, (3, spec.graph.n_interior))
-    for v in (stack[0], stack):
-        assert slow.gradient(v).tobytes() == spec._kernel.gradient(v).tobytes()
+    slow.ei, slow.ej, slow.we = rows, cols, 0.5 * w
+    slow.p, slow.pm1 = np.full(rows.size, 3.0), np.full(rows.size, 2.0)
+    stack, x = rng.uniform(-0.5, 1.5, (3, n)), rng.uniform(-1.0, 1.0, n)
+    F0 = spec.f.primitive_vector(np.zeros(n))
+    u = np.abs(stack[1])
+
+    def results(k):
+        return [*k.energy_gradient(stack[0]), *k.energy_gradient(stack), *k.terms(k.full(u)),
+                k.hessian(u)(x), k.residual(k.full(u)), k.spike_energies(0.3, F0)]
+
+    for a, b in zip(results(fast), results(slow)):
+        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)

@@ -52,12 +52,11 @@ class EvaluationKernel:
     ``gradient_at`` and ``residual`` read a full vertex array, which may be
     nonzero on the boundary.  ``energy``, ``gradient`` and
     ``energy_gradient`` (with ``terms`` and ``gradient_at``) also take a
-    (K, n) stack of vectors and answer row by row with the same formulas,
-    sums running along the last axis.  All of them run ``_pass``, which
-    computes J and grad J from one set of gathers, one power per edge and
-    one per vertex; ``energy_gradient`` asks it for both (22, 30 and 137 us
-    per call on p = 3 grids of 8x8, 16x16 and 64x64; 2 vCPUs, numpy 2.4.6).
-    The kernel of a uniform p owns one per-edge float array, the weights."""
+    (K, n) stack of vectors and answer row by row, sums running along the
+    last axis.  All of them run ``_pass``: one set of gathers, one power per
+    edge and one per vertex (``energy_gradient``: 22, 30 and 137 us per call
+    on p = 3 grids of 8x8, 16x16 and 64x64; 2 vCPUs, numpy 2.4.6).  A
+    uniform p's kernel owns one per-edge float array, the weights."""
 
     def __init__(self, spec: ProblemSpec):
         g = spec.graph
@@ -80,9 +79,8 @@ class EvaluationKernel:
     def full(self, v: np.ndarray) -> np.ndarray:
         """The vertex array of the interior vector v, zero on the boundary
         (row by row for a (K, n) stack)."""
-        if v.ndim == 1:
-            return np.concatenate((v, self.pad))
-        return np.concatenate((v, np.zeros((len(v), self.pad.size))), axis=1)
+        return (np.concatenate((v, self.pad)) if v.ndim == 1
+                else np.concatenate((v, np.zeros((len(v), self.pad.size))), axis=1))
 
     def _source(self, t: np.ndarray, energy: bool, gradient: bool):
         """(f, F) at t >= 0, None in place of the part not asked for.  Far
@@ -200,8 +198,7 @@ _ZERO = np.zeros(())  # 0-d: faster in ufuncs than the Python float 0.0
 
 
 def _sum_over(x: np.ndarray, p) -> np.ndarray:
-    """The sums of x / p along the last axis, one division per sum for a
-    float p."""
+    """The sums of x / p along the last axis (one division per sum for a float p)."""
     return np.add.reduce(x, -1) / p if type(p) is float else np.add.reduce(x / p, -1)
 
 

@@ -137,9 +137,9 @@ class Nonlinearity:
         self.envelope = envelope
 
     def _at(self, i):
-        # The whole interior reads the arrays (or ``_whole``) unindexed:
-        # indexing them, even with slice(None), costs about 0.5 us per call.
-        return getattr(self, "_whole", self._params) if i is None else [a[i] for a in self._params]
+        # The whole interior reads the arrays unindexed: indexing them, even
+        # with slice(None), costs about 0.5 us per call.
+        return self._params if i is None else [a[i] for a in self._params]
 
     def _primitive(self, i, t):
         if i is None:  # t is one value per interior vertex along its last axis
@@ -201,19 +201,22 @@ class PowerPlus(Nonlinearity):
     def _whole(self):  # the whole interior reads a uniform parameter as one value
         return tuple(map(_uniform, self._params))
 
+    def _at(self, i):
+        return self._whole if i is None else super()._at(i)
+
     def _rate(self, i, t):
         phi, _, psi, m_1, _ = self._at(i)
         return phi * t ** m_1 + psi
 
     def _primitive(self, i, t):
         _, _, psi, m_1, phi_m = self._at(i)
-        return t * (phi_m * t ** m_1 + psi)
+        return phi_m * (t ** m_1 * t) + psi * t
 
     def rate_and_primitive(self, t):
-        # one power for both: F = t (phi/m t^(m-1) + psi)
+        # one power for both: F = phi/m (t^(m-1) t) + psi t
         phi, _, psi, m_1, phi_m = self._whole
         tm = t ** m_1
-        return phi * tm + psi, t * (phi_m * tm + psi)
+        return phi * tm + psi, phi_m * (tm * t) + psi * t
 
     def slope_vector(self, t):
         phi, m, _, m_1, _ = self._whole

@@ -149,12 +149,12 @@ def _residual_measure(constraint: Constraint, v: np.ndarray, g: np.ndarray) -> f
     return float(np.abs(v - _project(constraint, v - g)).max())
 
 
-def _bb_step(s: np.ndarray, y: np.ndarray, default: float, ss: float | None = None) -> float:
-    """The Barzilai-Borwein step <s, s>/<s, y> clamped to [_BB_LO, _BB_HI],
-    or ``default`` when <s, y> <= 0; ``ss`` is <s, s> when known."""
+def _bb_step(s: np.ndarray, y: np.ndarray, ss: float, default: float) -> float:
+    """The Barzilai-Borwein step ss/<s, y>, ss = <s, s>, clamped to [_BB_LO,
+    _BB_HI], or ``default`` when <s, y> <= 0."""
     sy = float(s.dot(y))
     if sy > 0.0:
-        return min(max((float(s.dot(s)) if ss is None else ss) / sy, _BB_LO), _BB_HI)
+        return min(max(ss / sy, _BB_LO), _BB_HI)
     return default
 
 
@@ -202,7 +202,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
                 break  # residual plateaued far above the tolerance
         if float(np.abs(v).max()) > _NORM_BLOWUP or not math.isfinite(J):
             break
-        step = last_step if prev_g is None else _bb_step(s, g - prev_g, last_step, ss)
+        step = last_step if prev_g is None else _bb_step(s, g - prev_g, ss, last_step)
         accepted = False
         floor = 32.0 * _EPS * (1.0 + abs(J))
         J_ref = max(recent)
@@ -448,7 +448,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
         g_perp = g - float(np.dot(g, v)) * v
         gp2 = float(np.dot(g_perp, g_perp))
         if prev is not None:
-            alpha = _bb_step(w - prev[0], g_perp - prev[1], alpha)
+            alpha = _bb_step(dw := w - prev[0], g_perp - prev[1], float(dw.dot(dw)), alpha)
         for _ in range(_LMM_BACKTRACKS):
             trial = v - (alpha / s) * g_perp
             trial /= math.sqrt(trial.dot(trial))

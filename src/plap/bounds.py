@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .calculus import DirichletFunction, _flux, edge_pairing, norm
+from .calculus import DirichletFunction, edge_flux, edge_pairing, norm
 from .errors import DomainError, DegenerateExponent, GammaTooSmall
 from .model import InstanceConstants, PowerPlus, ProblemSpec, instance_constants
 
@@ -64,9 +64,8 @@ def inequality_bound(which: str, c: InstanceConstants, m: float | None = None):
     return math.sqrt(Sbar)  # a7
 
 
-def check_inequality(
-    which: str, spec: ProblemSpec, u: DirichletFunction, m: float | None = None
-) -> tuple[float, float, bool]:
+def check_inequality(which: str, spec: ProblemSpec, u: DirichletFunction,
+                     m: float | None = None) -> tuple[float, float, bool]:
     """Evaluate both sides of the named inequality for this u.
 
     Returns (lhs, rhs, holds); "holds" allows a 1e-12 relative rounding slack.
@@ -86,8 +85,8 @@ def check_inequality(
     elif which in ("a4", "a6"):
         lhs = float(np.sum(np.abs(ui) ** spec.p.interior()))
     elif which == "a5":
-        # sum of |u(x)-u(y)|^p(x) w(x,y) = sum_k a_k (u(r) - u(c)) over pairs
-        lhs = edge_pairing(g, _flux(g, spec.p, u), u.values)
+        # sum of |u(x)-u(y)|^p(x) w(x,y) = sum a(r, c) (u(r) - u(c)) over pairs
+        lhs = edge_pairing(g, edge_flux(g, spec.p, u), u.values)
     else:  # a7
         lhs = float(np.abs(ui).max())
     upper = which not in ("a3", "a4")

@@ -1,8 +1,9 @@
 """Discrete p(x)-calculus on a weighted graph.
 
-Implements the edge flux of the p(x)-Laplacian over ordered pairs (for the
-operator and the pairings), the p(x)-gradient and p(x)-Laplacian at a
-vertex, graph integration, the Green-type pairing, and the norm /
+Implements the edge flux of the p(x)-Laplacian from both ends of every edge
+in ``Graph.edges``, each end an ordered pair (x, y) of the paper's double
+sums (for the operator and the pairings), the p(x)-gradient and Laplacian at
+a vertex, graph integration, the Green-type pairing, and the norm /
 sign-splitting machinery of the Dirichlet space A (zero on the boundary).
 """
 
@@ -40,9 +41,7 @@ class VertexFunction:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.graph.n_vertices,):
-            raise InvariantError(
-                f"expected {self.graph.n_vertices} values, got shape {vals.shape}"
-            )
+            raise InvariantError(f"expected {self.graph.n_vertices} values, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -91,17 +90,17 @@ def _as_values(u) -> np.ndarray:
     return u.values if isinstance(u, VertexFunction) else np.asarray(u, dtype=float)
 
 
-def edge_flux(g: Graph, p_rows_m1, uv: np.ndarray) -> np.ndarray:
-    """a_k = |u(r)-u(c)|^(p(r)-2) (u(r)-u(c)) w(r,c) over ``g.ordered_pairs``,
-    along the last axis of ``uv`` (a vertex array or a (K, n_vertices) stack).
-
-    The edge term of the p(x)-Laplacian (``p_rows_m1`` is p - 1 at the
-    rows, or one value for a uniform p): ``minus_laplacian`` sums it per row
-    and ``edge_pairing`` pairs it with v.
-    """
-    rows, cols, w = g.ordered_pairs
-    d = gather(uv, rows) - gather(uv, cols)
-    return np.copysign(np.abs(d) ** p_rows_m1, d) * w  # |0|^(p-1) = 0 for p >= 2
+def edge_flux(g: Graph, p: "ExponentField", u) -> np.ndarray:
+    """The (2, E) edge term of the p(x)-Laplacian over ``g.edges`` (i, j):
+    row 0 is |d|^(p(i)-2) d w with d = u(i) - u(j), the term of the pair
+    (i, j), and row 1 the term of (j, i), from -d and p(j).
+    ``minus_laplacian`` sums it at each vertex, ``edge_pairing`` pairs it
+    with v."""
+    ei, ej, w = g.edges
+    uv = _as_values(u)
+    d = uv[ei] - uv[ej]
+    pm1 = p.values[np.stack((ei, ej))] - 1.0
+    return np.copysign(np.abs(d) ** pm1, (d, -d)) * w  # |0|^(p-1) = 0 for p >= 2
 
 
 def gather(uv: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -122,31 +121,28 @@ def index_sums(index: np.ndarray, a: np.ndarray, size: int) -> np.ndarray:
 
 def minus_laplacian(g: Graph, a: np.ndarray) -> np.ndarray:
     """-lap_p u at every vertex, boundary included, from its edge flux ``a``."""
-    return np.bincount(g.ordered_pairs[0], weights=a, minlength=g.n_vertices)
+    ei, ej, _ = g.edges
+    return np.bincount(ei, a[0], g.n_vertices) + np.bincount(ej, a[1], g.n_vertices)
 
 
 def edge_pairing(g: Graph, a: np.ndarray, vv: np.ndarray) -> float:
-    """sum over ordered pairs of a_k (v(r) - v(c))."""
-    rows, cols, _ = g.ordered_pairs
-    return float(np.sum(a * (vv[rows] - vv[cols])))
-
-
-def _flux(g: Graph, p: "ExponentField", u) -> np.ndarray:
-    return edge_flux(g, np.asarray(p.values)[g.ordered_pairs[0]] - 1.0, _as_values(u))
+    """The sum over ordered pairs (r, c) of a(r, c) (v(r) - v(c))."""
+    ei, ej, _ = g.edges
+    return float(np.sum((a[0] - a[1]) * (vv[ei] - vv[ej])))
 
 
 def p_gradient(g: Graph, p: "ExponentField", u: VertexFunction, x: VertexId) -> np.ndarray:
     """Gradient vector at x: component y is |u(y)-u(x)|^(p(x)-2) (u(y)-u(x)) sqrt(w(x,y))."""
-    rows, cols, w = g.ordered_pairs
-    at_x = rows == g.index_of(x)
+    ends = np.stack(g.edges[:2])
+    at_x = ends == g.index_of(x)  # the edges at x, by the end that x is
     out = np.zeros(g.n_vertices)
-    out[cols[at_x]] = -(_flux(g, p, u) / np.sqrt(w))[at_x]
+    out[ends[::-1][at_x]] = -(edge_flux(g, p, u) / np.sqrt(g.edges[2]))[at_x]
     return out
 
 
 def p_laplacian(g: Graph, p: "ExponentField", u: VertexFunction, x: VertexId) -> float:
     """Sum over y of |u(y)-u(x)|^(p(x)-2) (u(y)-u(x)) w(x,y)."""
-    return -float(minus_laplacian(g, _flux(g, p, u))[g.index_of(x)])
+    return -float(minus_laplacian(g, edge_flux(g, p, u))[g.index_of(x)])
 
 
 def integrate(g: Graph, v: VertexFunction) -> float:
@@ -154,18 +150,17 @@ def integrate(g: Graph, v: VertexFunction) -> float:
     return float(np.sum(_as_values(v)))
 
 
-def green_pairing(
-    g: Graph, p: "ExponentField", u: VertexFunction, v: VertexFunction
-) -> tuple[float, float]:
+def green_pairing(g: Graph, p: "ExponentField", u: VertexFunction,
+                  v: VertexFunction) -> tuple[float, float]:
     """Both sides of the pairing identity, from the edge flux a of u.
 
-    lhs = 2 * sum_x (-lap_p u(x)) v(x); rhs = sum_k a_k (v(r) - v(c)) pairs
+    lhs = 2 * sum_x (-lap_p u(x)) v(x); rhs = sum a(r, c) (v(r) - v(c)) pairs
     the p(x)-gradient of u with the plain gradient of v.  The two sides agree
     when the exponent field is uniform; with per-vertex exponents the double
     sum is no longer symmetrizable and they generally differ.
     """
     vv = _as_values(v)
-    a = _flux(g, p, u)
+    a = edge_flux(g, p, u)
     return 2.0 * float(np.dot(minus_laplacian(g, a), vv)), edge_pairing(g, a, vv)
 
 

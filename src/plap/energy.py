@@ -28,10 +28,10 @@ and the original-operator residual is reported separately by
 sp(d, p) w at i and its negative at j, and the Hessian applied to x takes
 (p-1) |d|^(p-2) w (x(i) - x(j)) at i and its negative at j, plus the
 diagonal q (p-1) |u|^(p-2) - lambda d_t f(u_plus) times x (d_t f is 0 where
-u < 0, where the source is linear).  A uniform p holds each undirected edge
-once; a per-vertex p holds every ordered pair, at half weight and with its
-row's p, which gives the formulas above.  Every public function below and
-every solver routine reads the kernel.
+u < 0, where the source is linear).  A uniform p reads each undirected edge
+of ``Graph.edges`` once; a per-vertex p builds every ordered pair, at half
+weight and with its row's p, which gives the formulas above.  Every public
+function below and every solver routine reads the kernel.
 """
 
 from __future__ import annotations
@@ -54,22 +54,21 @@ class EvaluationKernel:
     ``energy_gradient`` (with ``terms`` and ``gradient_at``) also take a
     (K, n) stack of vectors and answer row by row, sums running along the
     last axis.  All of them run ``_pass``: one set of gathers, one power per
-    edge and one per vertex (``energy_gradient``: 22, 30 and 137 us per call
-    on p = 3 grids of 8x8, 16x16 and 64x64; 2 vCPUs, numpy 2.4.6).  A
-    uniform p's kernel owns one per-edge float array, the weights."""
+    edge and one per vertex.  The kernel's edge ends are writable arrays of
+    its own: ``np.bincount`` copies a read-only index on every call."""
 
     def __init__(self, spec: ProblemSpec):
         g = spec.graph
         self.graph, self.n, self.n_vertices = g, g.n_interior, g.n_vertices
-        rows, cols, w = g.ordered_pairs
         # A uniform p is a float, for the division of a sum, and p - 1 a 0-d
         # array (``_uniform``), for the powers.
         p, p_int = _uniform(spec.p.values), _uniform(spec.p.interior())
-        if p.ndim == 0:  # each edge once, as its pair (row, col) with row < col
-            upper = rows < cols
-            self.ei, self.ej, self.we, self.p = rows[upper], cols[upper], w[upper], float(p)
-        else:  # every pair, with half its weight and the exponent of its row
-            self.ei, self.ej, self.we, self.p = rows, cols, 0.5 * w, p[rows]
+        if p.ndim == 0:  # each edge once, as the graph holds it, with copies of its ends
+            ei, ej, we = g.edges
+            self.ei, self.ej, self.we, self.p = ei.copy(), ej.copy(), we, float(p)
+        else:  # every ordered pair, with half its weight and the exponent of its row
+            self.ei, self.ej, w = g._pairs()
+            self.we, self.p = 0.5 * w, p[self.ei]
         self.p_int = float(p_int) if p_int.ndim == 0 else p_int
         self.pm1, self.pm1_int = np.asarray(self.p - 1.0), np.asarray(self.p_int - 1.0)
         self.q, self.lam, self.f = spec.q.values, spec.lam, spec.f

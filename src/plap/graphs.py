@@ -2,8 +2,8 @@
 
 The domain of every problem in this package is a simple, connected, undirected
 graph whose vertex set is partitioned into a nonempty interior S and a
-nonempty boundary dS.  Edge weights are strictly positive; the edges are
-stored once, as sorted ordered vertex pairs, in O(E) memory.
+nonempty boundary dS.  Edge weights are strictly positive and symmetric; the
+graph holds each undirected edge once, as (ei, ej, w) with ei < ej.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ class Graph:
 
     interior: tuple[VertexId, ...]
     boundary: tuple[VertexId, ...]
-    # (rows, cols, w): each edge once per direction, sorted by (row, col) so
-    # that every sum over the pairs runs in one fixed order.
-    ordered_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # (ei, ej, w), read-only: each undirected edge once, with ei < ej, sorted
+    # by (ei, ej) so that every sum over the edges runs in one fixed order.
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
@@ -75,7 +75,21 @@ class Graph:
             raise UnknownVertex(f"vertex {x!r} is not part of this graph") from None
 
     def max_weight(self) -> float:
-        return float(self.ordered_pairs[2].max(initial=0.0))
+        return float(self.edges[2].max(initial=0.0))
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """New (rows, cols, w): each edge once per direction, sorted by (row, col)."""
+        ei, ej, w = self.edges
+        order = np.argsort(np.concatenate((ei * self.n_vertices + ej, ej * self.n_vertices + ei)))
+        return tuple(np.concatenate(a)[order] for a in ((ei, ej), (ej, ei), (w, w)))
+
+    @cached_property
+    def ordered_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_pairs()``, read-only, built on first use: the library reads ``edges``."""
+        pairs = self._pairs()
+        for a in pairs:
+            a.setflags(write=False)
+        return pairs
 
 
 @dataclass
@@ -119,11 +133,11 @@ def _index_labels(interior: Sequence[VertexId],
     return index
 
 
-def _connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether the pairs (both directions of every edge) join all n vertices:
-    min-label hooking with pointer jumping (Shiloach & Vishkin, J. Algorithms
-    3, 1982).  In each round every tree root takes the smallest root across
-    its pairs, then every vertex jumps to its root until nothing changes.  A
+def _connected(n: int, ei: np.ndarray, ej: np.ndarray) -> bool:
+    """Whether the edges (ei, ej) join all n vertices: min-label hooking with
+    pointer jumping (Shiloach & Vishkin, J. Algorithms 3, 1982).  In each
+    round every tree root takes the smallest root across its edges, from
+    either end, then every vertex jumps to its root until nothing changes.  A
     tree hooks or is hooked onto within two rounds, so there are O(log n)
     rounds.  Roots only fall and vertex 0 keeps its own, so once a round
     changes nothing the graph is connected exactly when every root is 0.
@@ -131,7 +145,8 @@ def _connected(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
     root = np.arange(n)
     while True:
         hooked = root.copy()
-        np.minimum.at(hooked, root[rows], root[cols])
+        np.minimum.at(hooked, root[ei], root[ej])
+        np.minimum.at(hooked, root[ej], root[ei])
         if np.array_equal(hooked, root):
             return not root.any()
         while not np.array_equal(root, hooked):
@@ -160,8 +175,8 @@ def build_graph(
         ends = np.fromiter(map(index.__getitem__, names), np.int64, 2 * len(edges))
     except KeyError as exc:
         raise UnknownEndpoint(f"edge endpoint {exc.args[0]!r} is not a declared vertex") from None
-    heads, tails = ends[0::2], ends[1::2]
-    loops = np.flatnonzero(heads == tails)
+    lo, hi = np.minimum(ends[0::2], ends[1::2]), np.maximum(ends[0::2], ends[1::2])
+    loops = np.flatnonzero(lo == hi)
     if loops.size:
         raise SelfLoop(f"self-edge at {edges[loops[0]][0]!r}")
     ws = np.fromiter(map(float, map(itemgetter(2), edges)), float, len(edges))
@@ -169,20 +184,18 @@ def build_graph(
     if bad.size:
         a, b, _ = edges[bad[0]]
         raise NonPositiveWeight(f"edge ({a!r}, {b!r}) has weight {float(ws[bad[0]])}, need > 0")
-    rows = np.concatenate((heads, tails))
-    cols = np.concatenate((tails, heads))
-    key = rows * len(labels) + cols  # sorted by key is sorted by (row, col)
+    key = lo * len(labels) + hi  # sorted by key is sorted by (lo, hi)
     order = np.argsort(key)
-    pairs = (rows[order], cols[order], np.concatenate((ws, ws))[order])
+    stored = (lo[order], hi[order], ws[order])
     repeated = np.flatnonzero(np.diff(key[order]) == 0)
     if repeated.size:
-        r, c = pairs[0][repeated[0]], pairs[1][repeated[0]]
+        r, c = stored[0][repeated[0]], stored[1][repeated[0]]
         raise DuplicateVertex(f"duplicate edge ({labels[r]!r}, {labels[c]!r})")
-    for arr in pairs:
+    for arr in stored:
         arr.setflags(write=False)
-    if not _connected(len(labels), pairs[0], pairs[1]):
+    if not _connected(len(labels), stored[0], stored[1]):
         raise Disconnected("graph is not connected")
-    return Graph(tuple(interior), tuple(boundary), pairs)
+    return Graph(tuple(interior), tuple(boundary), stored)
 
 
 def validate_graph(g: Graph) -> ValidationReport:
@@ -191,28 +204,22 @@ def validate_graph(g: Graph) -> ValidationReport:
     report.add("nonempty_sets", bool(g.interior) and bool(g.boundary))
     overlap = set(g.interior) & set(g.boundary)
     report.add("disjoint_sets", not overlap, f"overlap: {sorted(overlap)}" if overlap else "")
-    n = np.int64(g.n_vertices)  # so that row * n + col is an int64 key for int32 pairs too
+    n = np.int64(g.n_vertices)  # so that ei * n + ej is an int64 key for int32 edges too
     report.add("unique_labels", len(set(g.vertices)) == n)
-    rows, cols, w = (np.asarray(a) for a in g.ordered_pairs)
-    shape_ok = (
-        rows.ndim == 1 and rows.shape == cols.shape == w.shape
-        and rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
-        and bool(np.all((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n)))
-        # row * n + col grows strictly: sorted by (row, col), no pair twice
-        and bool(np.all(np.diff(rows * n + cols) > 0))
-    )
-    report.add("matrix_shape", shape_ok, "" if shape_ok else "need sorted, unique, in-range pairs")
+    ei, ej, w = (np.asarray(a) for a in g.edges)
+    shape_ok = (ei.ndim == 1 and ei.shape == ej.shape == w.shape
+                and ei.dtype.kind in "iu" and ej.dtype.kind in "iu"
+                and bool(np.all((0 <= ei) & (ei < n) & (0 <= ej) & (ej < n)))
+                # ei * n + ej grows strictly: sorted by (ei, ej), no edge twice
+                and bool(np.all(np.diff(ei * n + ej) > 0)))
+    report.add("matrix_shape", shape_ok, "" if shape_ok else "need sorted, unique, in-range edges")
     if not shape_ok:
         return report
-    report.add("nonnegative_weights", bool(np.all(w > 0)))
-    # Sorted pairs are symmetric exactly when their transposes, sorted the
-    # same way, are the same pairs with the same weights.
-    t = np.argsort(cols * n + rows)
-    sym = bool(np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols)
-               and np.array_equal(w[t], w))
-    report.add("symmetry", sym, "" if sym else "w(x, y) != w(y, x) for some pair")
-    report.add("zero_diagonal", bool(np.all(rows != cols)))
-    report.add("connected", n > 0 and _connected(n, rows, cols))
+    report.add("nonnegative_weights", bool(np.all(np.isfinite(w) & (w > 0))))
+    sym = bool(np.all(ei <= ej))  # each edge once, from its lower end: w(x, y) = w(y, x)
+    report.add("symmetry", sym, "" if sym else "an edge (i, j) is stored with i > j")
+    report.add("zero_diagonal", bool(np.all(ei != ej)))
+    report.add("connected", n > 0 and _connected(n, ei, ej))
     return report
 
 
@@ -227,5 +234,6 @@ class GraphSummary:
 
 def graph_summary(g: Graph) -> GraphSummary:
     """Cardinalities, the maximal edge weight, and the degree map."""
-    degrees = dict(zip(g.vertices, np.bincount(g.ordered_pairs[0], minlength=g.n_vertices).tolist()))
+    ends = np.concatenate(g.edges[:2])
+    degrees = dict(zip(g.vertices, np.bincount(ends, minlength=g.n_vertices).tolist()))
     return GraphSummary(g.n_interior, g.n_boundary, g.n_vertices, g.max_weight(), degrees)

@@ -32,7 +32,8 @@ def _vertex_array(graph: Graph, data, labels: Sequence[VertexId], what: str,
                   lo: float = 0.0, closed: bool = False) -> np.ndarray:
     """The read-only values of field ``what`` over ``labels`` (the interior
     S or all vertices S-bar) from a scalar, a sequence in vertex order or a
-    label->value map, each finite and > lo (>= lo when ``closed``)."""
+    label->value map, each finite and > lo (>= lo when ``closed``).  A
+    read-only float64 array is checked and shared, not copied."""
     if isinstance(data, Mapping):
         missing = [v for v in labels if v not in data]
         if missing:
@@ -41,7 +42,8 @@ def _vertex_array(graph: Graph, data, labels: Sequence[VertexId], what: str,
             known = set(labels)
             raise InvariantError(f"{what}: unknown vertices {[k for k in data if k not in known]}")
         data = [float(data[v]) for v in labels]
-    arr = np.array(data, dtype=float)
+    shared = type(data) is np.ndarray and data.dtype == float and not data.flags.writeable
+    arr = data if shared else np.array(data, dtype=float)
     if arr.ndim == 0:
         arr = np.full(len(labels), arr)
     if arr.shape != (len(labels),):
@@ -187,12 +189,9 @@ class PowerPlus(Nonlinearity):
         self.phi = _vertex_array(graph, phi, graph.interior, "phi", closed=True)
         self.m = _vertex_array(graph, m, graph.interior, "m", lo=2.0, closed=True)
         self.psi = _vertex_array(graph, psi, graph.interior, "psi")
-        envelope = None
-        if np.all(self.phi > 0.0):
-            envelope = GrowthEnvelope(
-                graph, m1=self.m, m2=self.m, phi1=self.phi, phi2=self.phi,
-                psi1=self.psi, psi2=self.psi,
-            )
+        # f is its own envelope, which shares the parameter arrays
+        envelope = (GrowthEnvelope(graph, self.m, self.m, self.phi, self.phi, self.psi, self.psi)
+                    if np.all(self.phi > 0.0) else None)
         super().__init__(graph, envelope)
         # m - 1 and phi / m once here, not on every call
         self._params = (self.phi, self.m, self.psi, self.m - 1.0, self.phi / self.m)

@@ -174,10 +174,8 @@ def spec_to_document(spec: ProblemSpec, reference: dict[str, float] | None = Non
     """Problem spec back to the file layout (per-vertex maps, full precision)."""
     g = spec.graph
     labels = g.vertices
-    rows, cols, w = g.ordered_pairs
-    upper = rows < cols  # each undirected edge once, in (row, col) order
-    edges = [{"u": labels[r], "v": labels[c], "w": wv}
-             for r, c, wv in zip(rows[upper].tolist(), cols[upper].tolist(), w[upper].tolist())]
+    edges = [{"u": labels[i], "v": labels[j], "w": wv}
+             for i, j, wv in zip(*(a.tolist() for a in g.edges))]
     nl = spec.f
     doc: dict[str, Any] = {
         "graph": {

@@ -30,11 +30,22 @@ os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 def dense_weights(g):
     """The (n, n) weight matrix of g in vertex order, 0 for no edge, as the
-    reference loops index it (the library keeps only the ordered pairs)."""
-    rows, cols, w = g.ordered_pairs
+    reference loops index it (the library keeps only the edge list)."""
+    ei, ej, w = g.edges
     dense = np.zeros((g.n_vertices, g.n_vertices))
-    dense[rows, cols] = w
+    dense[ei, ej] = dense[ej, ei] = w
     return dense
+
+
+def edge_bytes(spec):
+    """(graph, kernel) bytes of the per-edge arrays of one instance: the
+    graph's edge list (with its ordered pairs, if they were built) and the
+    per-edge arrays its evaluation kernel holds without sharing the graph's."""
+    g, kernel = spec.graph, spec._kernel
+    held = [*g.edges, *vars(g).get("ordered_pairs", ())]
+    own = [a for a in vars(kernel).values() if isinstance(a, np.ndarray)
+           and a.shape == kernel.ei.shape and not any(np.shares_memory(a, b) for b in held)]
+    return sum(a.nbytes for a in held), sum(a.nbytes for a in own)
 
 
 def make_path_graph(w=1.0):

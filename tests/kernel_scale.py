@@ -8,8 +8,10 @@ best of 7 rounds of
     hx        one Hessian product, the product built once beforehand
     residual  one ``residual`` call, the original operator's sup-norm
 
-at a fixed positive vector, with the number of edges and the fused cost per
-edge in ns.  Then, on the 64x64 grid, one line per stack of K = 1, 3 and 6
+at a fixed positive vector, with the number of edges, the fused cost per
+edge in ns and the bytes of the instance's per-edge arrays
+(``conftest.edge_bytes``: the graph's edge list plus the arrays the kernel
+owns), in MB.  Then, on the 64x64 grid, one line per stack of K = 1, 3 and 6
 vectors gives the fused call's cost, its cost per row and its minor page
 faults per call (``resource.getrusage``):
 
@@ -30,7 +32,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import direct_grid  # noqa: E402
+from conftest import direct_grid, edge_bytes  # noqa: E402
 
 SIDES = (16, 64, 128, 316)
 STACKS = (1, 3, 6)
@@ -43,17 +45,18 @@ def best_us(fn, budget: float = 0.2) -> float:
 
 
 def row(side: int) -> str:
-    kernel = direct_grid(side, 0, 0)._kernel
+    spec = direct_grid(side, 0, 0)
+    kernel = spec._kernel
     n = kernel.n
     rng = np.random.default_rng(side)
     v, x = rng.uniform(0.1, 1.0, n), rng.uniform(-1.0, 1.0, n)
     uv, product = kernel.full(v), kernel.hessian(v)
-    edges = len(kernel.graph.ordered_pairs[0]) // 2
+    edges = len(kernel.graph.edges[0])
     fused = best_us(lambda: kernel.energy_gradient(v))
     hx = best_us(lambda: product(x))
     residual = best_us(lambda: kernel.residual(uv))
     return (f"grid{side:<4} {n:>8} {edges:>8} {fused:>10.1f} {hx:>10.1f} {residual:>10.1f} "
-            f"{fused / edges * 1e3:>8.1f}")
+            f"{fused / edges * 1e3:>8.1f} {sum(edge_bytes(spec)) / 1e6:>8.2f}")
 
 
 def stack_row(kernel, k: int) -> str:
@@ -70,7 +73,7 @@ def stack_row(kernel, k: int) -> str:
 def main(argv: list[str]) -> None:
     sides = [int(a) for a in argv] or SIDES
     print(f"{'instance':<9} {'interior':>8} {'edges':>8} {'fused_us':>10} {'hx_us':>10} "
-          f"{'resid_us':>10} {'ns/edge':>8}", flush=True)
+          f"{'resid_us':>10} {'ns/edge':>8} {'edge_MB':>8}", flush=True)
     for side in sides:
         print(row(side), flush=True)
     if not argv:

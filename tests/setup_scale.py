@@ -9,7 +9,9 @@ the best time of up to three runs (as many as fit in about 2 s) of
     spec            ExponentField, Potential, PowerPlus and ProblemSpec
     load_problem    the same instance read back from its JSON file
 
-with p = 3 and f = t^1.5 + 1, the ``grid_direct`` workload's shape:
+with p = 3 and f = t^1.5 + 1, the ``grid_direct`` workload's shape, and the
+bytes of its per-edge arrays (``conftest.edge_bytes``): the graph's edge list
+and the arrays its evaluation kernel owns, in MB:
 
     PYTHONPATH=src python tests/setup_scale.py [side ...]
 
@@ -32,7 +34,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import direct_grid, shuffled_path_input  # noqa: E402
+from conftest import direct_grid, edge_bytes, shuffled_path_input  # noqa: E402
 from plap import (  # noqa: E402
     ExponentField,
     Potential,
@@ -60,11 +62,8 @@ def best(fn) -> tuple[float, object]:
 def grid_input(side: int):
     spec = direct_grid(side, 0, 0)
     g = spec.graph
-    rows, cols, w = g.ordered_pairs
-    upper = rows < cols
     labels = g.vertices
-    edges = [(labels[r], labels[c], x)
-             for r, c, x in zip(rows[upper].tolist(), cols[upper].tolist(), w[upper].tolist())]
+    edges = [(labels[i], labels[j], x) for i, j, x in zip(*(a.tolist() for a in g.edges))]
     return list(g.interior), list(g.boundary), edges, spec.q.values
 
 
@@ -89,14 +88,17 @@ def row(name: str, interior, boundary, edges, q) -> str:
         path = Path(tmp) / "problem.json"
         path.write_text(json.dumps(spec_to_document(s)), encoding="utf-8")
         t_load, _ = best(lambda: load_problem(path))
+    graph_b, kernel_b = edge_bytes(s)
     return (f"{name:>12} {g.n_vertices:>8} {len(edges):>8} {t_build:>9.4f} "
-            f"{t_validate:>9.4f} {t_spec:>9.4f} {t_load:>9.3f}")
+            f"{t_validate:>9.4f} {t_spec:>9.4f} {t_load:>9.3f} {graph_b / 1e6:>8.2f} "
+            f"{kernel_b / 1e6:>8.2f}")
 
 
 def main(argv: list[str]) -> None:
     sides = [int(a) for a in argv] or SIDES
     print(f"{'instance':>12} {'vertices':>8} {'edges':>8} {'build_s':>9} "
-          f"{'valid_s':>9} {'spec_s':>9} {'load_s':>9}", flush=True)
+          f"{'valid_s':>9} {'spec_s':>9} {'load_s':>9} {'graph_MB':>8} {'kernel_MB':>8}",
+          flush=True)
     for side in sides:
         print(row(f"grid{side}", *grid_input(side)), flush=True)
     if not argv:

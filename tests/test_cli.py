@@ -57,7 +57,7 @@ def test_parse_round_trip_identity():
     doc2 = parse_document(text)
     a, b = doc.spec, doc2.spec
     assert a.graph.vertices == b.graph.vertices
-    assert all(np.array_equal(x, y) for x, y in zip(a.graph.ordered_pairs, b.graph.ordered_pairs))
+    assert all(np.array_equal(x, y) for x, y in zip(a.graph.edges, b.graph.edges))
     assert np.array_equal(a.p.values, b.p.values)
     assert np.array_equal(a.q.values, b.q.values)
     assert a.f.kind == b.f.kind
@@ -160,7 +160,7 @@ def test_int_weights_and_values_and_an_overflowing_sum_load():
                              {"u": "v0", "v": "v2", "w": 1e308}]
     doc["p"] = {"v0": 2, "v1": 2.0, "v2": 2}
     spec = parse_document(json.dumps(doc)).spec
-    assert spec.graph.ordered_pairs[2].tolist() == [1.0, 1e308, 1.0, 1e308, 1e308, 1e308]
+    assert spec.graph.edges[2].tolist() == [1.0, 1e308, 1e308]
     assert spec.p.values.tolist() == [2.0, 2.0, 2.0]
 
 

@@ -29,12 +29,14 @@ from plap.graphs import Graph, _connected
 from conftest import (
     cubic_star_spec,
     dense_weights,
+    direct_grid,
     make_path_graph,
     make_triangle_pendant_graph,
     random_graph,
     random_graph_input,
     random_power_spec,
     shuffled_path_input,
+    two_solution_grid,
 )
 
 
@@ -124,8 +126,8 @@ def test_edges_from_a_generator_build_the_same_pairs_as_a_list():
     rng = np.random.default_rng(5)
     for _ in range(20):
         interior, boundary, edges = random_graph_input(rng)
-        listed = build_graph(interior, boundary, edges).ordered_pairs
-        generated = build_graph(interior, boundary, (e for e in edges)).ordered_pairs
+        listed = build_graph(interior, boundary, edges).edges
+        generated = build_graph(interior, boundary, (e for e in edges)).edges
         for x, y in zip(listed, generated):
             assert x.dtype == y.dtype and np.array_equal(x, y)
             assert not y.flags.writeable
@@ -171,50 +173,51 @@ def test_validation_passes_after_build():
         assert g.n_vertices == g.n_interior + g.n_boundary
 
 
-def pairs(*triples):
-    """ordered_pairs arrays from (row, col, weight) triples, in the given order."""
-    rows, cols, w = zip(*triples)
-    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(w)
+def stored_edges(*triples):
+    """``Graph.edges`` arrays from (ei, ej, weight) triples, in the given order."""
+    ei, ej, w = zip(*triples)
+    return np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64), np.array(w)
 
 
 def test_validation_flags_injected_asymmetry():
-    # w(v1, v0) = 1.0 but w(v0, v1) = 0.5
-    g = Graph(("v1",), ("v0", "v2"), pairs((0, 1, 1.0), (0, 2, 1.0), (1, 0, 0.5), (2, 0, 1.0)))
+    # w(v1, v0) = 1.0 from the edge (0, 1), but w(v0, v1) = 0.5 from (1, 0)
+    g = Graph(("v1",), ("v0", "v2"), stored_edges((0, 1, 1.0), (0, 2, 1.0), (1, 0, 0.5)))
     report = validate_graph(g)
-    assert not report.passed
-    assert any(c.name == "symmetry" for c in report.failures())
+    assert [c.name for c in report.failures()] == ["symmetry"]
 
 
 def test_validation_flags_isolated_vertex():
-    g = Graph(("a",), ("b", "c"), pairs((0, 1, 1.0), (1, 0, 1.0)))
+    g = Graph(("a",), ("b", "c"), stored_edges((0, 1, 1.0)))
     report = validate_graph(g)
-    assert any(c.name == "connected" for c in report.failures())
+    assert [c.name for c in report.failures()] == ["connected"]
 
 
 # The path v0 -- v1 -- v2 with v1 interior: indices v1 = 0, v0 = 1, v2 = 2.
-PATH_PAIRS = [(0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)]
+PATH_EDGES = [(0, 1, 1.0), (0, 2, 1.0)]
 
 
 @pytest.mark.parametrize("stored, failing", [
-    (PATH_PAIRS[:1] + PATH_PAIRS, "matrix_shape"),
-    ([PATH_PAIRS[1], PATH_PAIRS[0]] + PATH_PAIRS[2:], "matrix_shape"),
-    (PATH_PAIRS[:2] + [(0, 3, 1.0)] + PATH_PAIRS[2:] + [(3, 0, 1.0)], "matrix_shape"),
-    ([(-1, 0, 1.0), (0, -1, 1.0)] + PATH_PAIRS, "matrix_shape"),
-    ([(0, 0, 1.0)] + PATH_PAIRS, "zero_diagonal"),
-    (PATH_PAIRS[:1] + [(0, 2, 0.0)] + PATH_PAIRS[2:3] + [(2, 0, 0.0)], "nonnegative_weights"),
-], ids=["repeated", "unsorted", "index_too_large", "index_negative", "self_pair", "zero_weight"])
+    (PATH_EDGES[:1] + PATH_EDGES, "matrix_shape"),
+    (PATH_EDGES[::-1], "matrix_shape"),
+    (PATH_EDGES + [(0, 3, 1.0)], "matrix_shape"),
+    ([(-1, 0, 1.0)] + PATH_EDGES, "matrix_shape"),
+    ([(0, 0, 1.0)] + PATH_EDGES, "zero_diagonal"),
+    (PATH_EDGES[:1] + [(0, 2, 0.0)], "nonnegative_weights"),
+    (PATH_EDGES[:1] + [(0, 2, float("inf"))], "nonnegative_weights"),
+    (PATH_EDGES[:1] + [(2, 0, 1.0)], "symmetry"),
+], ids=["repeated", "unsorted", "index_too_large", "index_negative", "self_pair", "zero_weight",
+        "infinite_weight", "higher_end_first"])
 def test_validation_flags_malformed_pairs(stored, failing):
-    assert validate_graph(Graph(("v1",), ("v0", "v2"), pairs(*PATH_PAIRS))).passed
-    report = validate_graph(Graph(("v1",), ("v0", "v2"), pairs(*stored)))
+    assert validate_graph(Graph(("v1",), ("v0", "v2"), stored_edges(*PATH_EDGES))).passed
+    report = validate_graph(Graph(("v1",), ("v0", "v2"), stored_edges(*stored)))
     assert [c.name for c in report.failures()] == [failing]
 
 
 def test_validation_keys_int32_pairs_of_a_large_graph_in_int64():
-    # row * n + col passes 2^31 here, so an int32 key would wrap around.
+    # ei * n + ej passes 2^31 here, so an int32 key would wrap around.
     g = build_graph(*shuffled_path_input(50_000))
-    narrow = Graph(g.interior, g.boundary, (g.ordered_pairs[0].astype(np.int32),
-                                            g.ordered_pairs[1].astype(np.int32),
-                                            g.ordered_pairs[2]))
+    ei, ej, w = g.edges
+    narrow = Graph(g.interior, g.boundary, (ei.astype(np.int32), ej.astype(np.int32), w))
     report = validate_graph(narrow)
     assert report.passed, report.failures()
 
@@ -223,6 +226,38 @@ def test_validation_reports_a_graph_without_vertices():
     empty = np.zeros(0, dtype=np.int64)
     report = validate_graph(Graph((), (), (empty, empty, np.zeros(0))))
     assert [c.name for c in report.failures()] == ["nonempty_sets", "connected"]
+
+
+def test_edges_hold_each_input_edge_once_in_key_order():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        interior, boundary, edges = random_graph_input(rng)
+        g = build_graph(interior, boundary, edges)
+        ei, ej, w = g.edges
+        assert ei.dtype == ej.dtype == np.int64 and ei.size == ej.size == w.size == len(edges)
+        assert (ei < ej).all() and (np.diff(ei * g.n_vertices + ej) > 0).all()
+        index = {v: i for i, v in enumerate(interior + boundary)}
+        assert list(zip(ei.tolist(), ej.tolist(), w.tolist())) == sorted(
+            (min(index[a], index[b]), max(index[a], index[b]), wv) for a, b, wv in edges)
+        assert not any(a.flags.writeable for a in g.edges)
+        for variant in ([(b, a, wv) for a, b, wv in edges], edges[::-1]):
+            again = build_graph(interior, boundary, variant)
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(again.edges, g.edges))
+        assert "ordered_pairs" not in vars(g)
+
+
+def test_uniform_p_solves_build_no_ordered_pairs():
+    for spec in (direct_grid(8, 0, 0), two_solution_grid(5, 7, 0)):
+        g = spec.graph
+        report = solve(spec)
+        assert report.solutions
+        assert set(vars(g)) <= {"interior", "boundary", "edges", "index"}
+        # the kernel scatters with writable copies of the graph's read-only
+        # edge ends (np.bincount copies a read-only index on every call)
+        kernel = spec._kernel
+        assert not any(a.flags.writeable for a in g.edges)
+        assert kernel.ei.flags.writeable and kernel.ej.flags.writeable
+        assert kernel.we is g.edges[2]
 
 
 def test_ordered_pairs_hold_each_input_edge_twice_in_row_col_order():
@@ -264,7 +299,7 @@ def test_grid_64_builds_validates_and_summarizes_in_edge_memory():
         tracemalloc.stop()
     assert report.passed
     assert summary.n_vertices == side * side + 4 * side
-    assert len(g.ordered_pairs[0]) == 2 * len(edges)
+    assert len(g.edges[0]) == len(edges) and "ordered_pairs" not in vars(g)
     assert peak < 16 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
@@ -276,7 +311,7 @@ def test_library_caches_nothing_dense_on_the_graph():
         lambda_thresholds(instance_constants(spec))
         solve(spec, SolverOptions(restarts=2))
         spec_to_document(spec)
-        assert set(vars(g)) <= {"interior", "boundary", "ordered_pairs", "index"}
+        assert set(vars(g)) <= {"interior", "boundary", "edges", "index"}
 
 
 def test_weight_matrix_is_symmetric_with_zero_diagonal():

@@ -227,6 +227,24 @@ def test_uniform_exponent_kernel_holds_one_per_edge_array():
             if isinstance(a, np.ndarray) and a.dtype.kind in "iu"] == ["ei", "ej"]
 
 
+def test_kernels_scatter_with_writable_indices_of_read_only_graph_arrays():
+    # np.bincount copies a read-only index array on every call, so each
+    # kernel owns writable edge ends; the graph's arrays stay read-only.
+    spec = direct_grid(8, 0, 0)
+    g = spec.graph
+    varied = spec.p.values.copy()
+    varied[0] = 4.0
+    per_vertex = ProblemSpec(g, ExponentField(g, varied), spec.q, spec.f, spec.lam)
+    for kernel in (EvaluationKernel(spec), EvaluationKernel(per_vertex)):
+        assert kernel.ei.flags.writeable and kernel.ej.flags.writeable
+        assert not any(np.shares_memory(a, b) for a in (kernel.ei, kernel.ej) for b in g.edges)
+    assert EvaluationKernel(spec).we is g.edges[2]  # the weights are read, not copied
+    assert not any(a.flags.writeable for a in g.edges)
+    # the per-vertex kernel builds its pairs itself: the graph caches none
+    assert "ordered_pairs" not in vars(g)
+    assert not any(a.flags.writeable for a in g.ordered_pairs)
+
+
 def test_one_exponent_residual_is_the_gradient_and_pairs_agree_with_edges():
     spec = direct_grid(8, 0, 0)
     g, fast = spec.graph, spec._kernel

@@ -498,6 +498,29 @@ def test_every_per_vertex_array_is_read_only(kind, name, attr, good, out):
             arr[0] = good
 
 
+def test_a_read_only_float_array_is_checked_and_shared_a_writable_one_copied():
+    g = make_triangle_pendant_graph()
+    f = PowerPlus(g, phi=[1.0, 2.0, 1.0], m=3.0, psi=1.0)
+    # power_plus's envelope is its own parameters: checked again, not copied
+    assert all(getattr(f.envelope, k) is getattr(f, k[:-1]) for k in _ENVELOPE)
+    frozen = np.array([3.0, 4.0, 3.0])
+    frozen.setflags(write=False)
+    assert PowerPlus(g, 1.0, frozen, 1.0).m is frozen
+    writable = np.array([3.0, 4.0, 3.0])
+    copied = PowerPlus(g, 1.0, writable, 1.0).m
+    assert not np.shares_memory(copied, writable) and writable.flags.writeable
+    ints = np.array([3, 4, 3])
+    ints.setflags(write=False)
+    assert PowerPlus(g, 1.0, ints, 1.0).m.dtype == np.float64
+    bad, short = np.array([3.0, 1.5, 3.0]), np.array([3.0, 4.0])
+    for arr in (bad, short):
+        arr.setflags(write=False)
+    with pytest.raises(InvariantError, match=r"^m\(x2\) = 1.5 "):
+        PowerPlus(g, 1.0, bad, 1.0)
+    with pytest.raises(InvariantError, match=r"^m: expected 3 values"):
+        PowerPlus(g, 1.0, short, 1.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda g: ExponentField.constant(g, math.nan),
     lambda g: Potential.constant(g, math.inf),

@@ -4,7 +4,7 @@ Library layout:
 
 - ``graphs``: the weighted interior/boundary graph and its validation.
 - ``calculus``: the edge flux of the p(x)-Laplacian (one kernel for operator,
-  gradient, residual and pairings), integration, norm, splitting.
+  gradient, certificate residual and pairings), integration, norm, splitting.
 - ``model``: exponent/potential fields, nonlinearities, growth envelopes.
 - ``quadrature``: the primitive F of nonlinearities without a closed form.
 - ``energy``: the action functional, exact gradient, solution residuals.

@@ -2,8 +2,9 @@
 
 Implements the edge flux of the p(x)-Laplacian from both ends of every edge
 in ``Graph.edges``, each end an ordered pair (x, y) of the paper's double
-sums (for the operator and the pairings), the p(x)-gradient and Laplacian at
-a vertex, graph integration, the Green-type pairing, and the norm /
+sums (the one home of the operator: the pairings and the certificate
+``energy.residual_original`` read it), the p(x)-gradient and Laplacian at a
+vertex, graph integration, the Green-type pairing, and the norm /
 sign-splitting machinery of the Dirichlet space A (zero on the boundary).
 """
 
@@ -11,15 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .errors import DomainError, InvariantError
 from .graphs import Graph, VertexId
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .model import ExponentField
+from .model import ExponentField, _uniform
 
 
 def signed_power(d: float, p: float) -> float:
@@ -90,16 +89,18 @@ def _as_values(u) -> np.ndarray:
     return u.values if isinstance(u, VertexFunction) else np.asarray(u, dtype=float)
 
 
-def edge_flux(g: Graph, p: "ExponentField", u) -> np.ndarray:
+def edge_flux(g: Graph, p: ExponentField, u) -> np.ndarray:
     """The (2, E) edge term of the p(x)-Laplacian over ``g.edges`` (i, j):
     row 0 is |d|^(p(i)-2) d w with d = u(i) - u(j), the term of the pair
-    (i, j), and row 1 the term of (j, i), from -d and p(j).
+    (i, j), and row 1 the term of (j, i), from -d and p(j).  A uniform p is
+    one 0-d exponent (``_uniform``): one power per edge, not two.
     ``minus_laplacian`` sums it at each vertex, ``edge_pairing`` pairs it
-    with v."""
+    with v, and ``residual_original`` certifies with it."""
     ei, ej, w = g.edges
     uv = _as_values(u)
     d = uv[ei] - uv[ej]
-    pm1 = p.values[np.stack((ei, ej))] - 1.0
+    pv = _uniform(p.values)
+    pm1 = (pv if pv.ndim == 0 else pv[np.stack((ei, ej))]) - 1.0
     return np.copysign(np.abs(d) ** pm1, (d, -d)) * w  # |0|^(p-1) = 0 for p >= 2
 
 
@@ -131,7 +132,7 @@ def edge_pairing(g: Graph, a: np.ndarray, vv: np.ndarray) -> float:
     return float(np.sum((a[0] - a[1]) * (vv[ei] - vv[ej])))
 
 
-def p_gradient(g: Graph, p: "ExponentField", u: VertexFunction, x: VertexId) -> np.ndarray:
+def p_gradient(g: Graph, p: ExponentField, u: VertexFunction, x: VertexId) -> np.ndarray:
     """Gradient vector at x: component y is |u(y)-u(x)|^(p(x)-2) (u(y)-u(x)) sqrt(w(x,y))."""
     ends = np.stack(g.edges[:2])
     at_x = ends == g.index_of(x)  # the edges at x, by the end that x is
@@ -140,7 +141,7 @@ def p_gradient(g: Graph, p: "ExponentField", u: VertexFunction, x: VertexId) -> 
     return out
 
 
-def p_laplacian(g: Graph, p: "ExponentField", u: VertexFunction, x: VertexId) -> float:
+def p_laplacian(g: Graph, p: ExponentField, u: VertexFunction, x: VertexId) -> float:
     """Sum over y of |u(y)-u(x)|^(p(x)-2) (u(y)-u(x)) w(x,y)."""
     return -float(minus_laplacian(g, edge_flux(g, p, u))[g.index_of(x)])
 
@@ -150,7 +151,7 @@ def integrate(g: Graph, v: VertexFunction) -> float:
     return float(np.sum(_as_values(v)))
 
 
-def green_pairing(g: Graph, p: "ExponentField", u: VertexFunction,
+def green_pairing(g: Graph, p: ExponentField, u: VertexFunction,
                   v: VertexFunction) -> tuple[float, float]:
     """Both sides of the pairing identity, from the edge flux a of u.
 

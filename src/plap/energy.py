@@ -21,7 +21,7 @@ with sp(d, p) = |d|^(p-2) d.  When the exponent field is uniform this
 coincides with -lap_p u(x) + q(x)|u(x)|^(p-2)u(x) - lambda f(x, u_plus(x));
 with per-vertex exponents the plain p(x)-Laplacian is not a gradient field,
 and the original-operator residual is reported separately by
-``residual_original``.
+``residual_original``, from ``calculus.edge_flux``.
 
 ``EvaluationKernel`` holds these formulas once per instance, over edges
 (i, j) of weight w: with d = u(i) - u(j), J sums |d|^p w / p, grad J takes
@@ -31,7 +31,8 @@ diagonal q (p-1) |u|^(p-2) - lambda d_t f(u_plus) times x (d_t f is 0 where
 u < 0, where the source is linear).  A uniform p reads each undirected edge
 of ``Graph.edges`` once; a per-vertex p builds every ordered pair, at half
 weight and with its row's p, which gives the formulas above.  Every public
-function below and every solver routine reads the kernel.
+function below and every solver routine reads the kernel; the certificate
+``residual_original`` takes only its constants.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import DirichletFunction, VertexFunction, _as_values, gather, index_sums
+from .calculus import (DirichletFunction, VertexFunction, _as_values, edge_flux, gather,
+                       index_sums, minus_laplacian)
 from .errors import NegativeArgument, QuadratureFailure
 from .model import ProblemSpec, _uniform
 
@@ -48,14 +50,14 @@ from .model import ProblemSpec, _uniform
 class EvaluationKernel:
     """J, grad J and the exact Hessian product of one instance on plain
     interior vectors, with every per-call constant computed once
-    (``ProblemSpec._kernel`` builds it on first use).  ``terms``,
-    ``gradient_at`` and ``residual`` read a full vertex array, which may be
-    nonzero on the boundary.  ``energy``, ``gradient`` and
-    ``energy_gradient`` (with ``terms`` and ``gradient_at``) also take a
-    (K, n) stack of vectors and answer row by row, sums running along the
-    last axis.  All of them run ``_pass``: one set of gathers, one power per
-    edge and one per vertex.  The kernel's edge ends are writable arrays of
-    its own: ``np.bincount`` copies a read-only index on every call."""
+    (``ProblemSpec._kernel`` builds it on first use).  ``terms`` and
+    ``gradient_at`` read a full vertex array, which may be nonzero on the
+    boundary.  ``energy``, ``gradient`` and ``energy_gradient`` (with
+    ``terms`` and ``gradient_at``) also take a (K, n) stack of vectors and
+    answer row by row, sums running along the last axis.  All of them run
+    ``_pass``: one set of gathers, one power per edge and one per vertex.
+    The kernel's edge ends are writable arrays of its own: ``np.bincount``
+    copies a read-only index on every call."""
 
     def __init__(self, spec: ProblemSpec):
         g = spec.graph
@@ -63,11 +65,12 @@ class EvaluationKernel:
         # A uniform p is a float, for the division of a sum, and p - 1 a 0-d
         # array (``_uniform``), for the powers.
         p, p_int = _uniform(spec.p.values), _uniform(spec.p.interior())
+        ei, ej, w = g.edges
         if p.ndim == 0:  # each edge once, as the graph holds it, with copies of its ends
-            ei, ej, we = g.edges
-            self.ei, self.ej, self.we, self.p = ei.copy(), ej.copy(), we, float(p)
-        else:  # every ordered pair, with half its weight and the exponent of its row
-            self.ei, self.ej, w = g._pairs()
+            self.ei, self.ej, self.we, self.p = ei.copy(), ej.copy(), w, float(p)
+        else:  # every ordered pair, sorted by (row, col), with half its weight and its row's p
+            order = np.argsort(np.concatenate((ei * g.n_vertices + ej, ej * g.n_vertices + ei)))
+            self.ei, self.ej, w = (np.concatenate(a)[order] for a in ((ei, ej), (ej, ei), (w, w)))
             self.we, self.p = 0.5 * w, p[self.ei]
         self.p_int = float(p_int) if p_int.ndim == 0 else p_int
         self.pm1, self.pm1_int = np.asarray(self.p - 1.0), np.asarray(self.p_int - 1.0)
@@ -146,21 +149,6 @@ class EvaluationKernel:
         parts, grad = self._pass(self.full(v), True, True)
         return parts[3], grad
 
-    def residual(self, uv: np.ndarray) -> float:
-        """Sup-norm over the interior of the original operator at uv >= 0.
-        Its edge part at x sums sp(u(x) - u(y), p(x)) w over the edges at x:
-        the row sums of a minus its column sums, or twice its row sums over
-        the half-weight pairs of a per-vertex p."""
-        n, nv, ui = self.n, self.n_vertices, uv[: self.n]
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = uv[self.ei] - uv[self.ej]
-            a = np.copysign(np.abs(diff) ** self.pm1 * self.we, diff)
-            rows = np.bincount(self.ei, a, nv)[:n]
-            val = ((rows - np.bincount(self.ej, a, nv)[:n] if type(self.p) is float else 2.0 * rows)
-                   + np.copysign(np.abs(ui) ** self.pm1_int, ui) * self.q
-                   - self.lam * self.f.rate_vector(ui))
-        return float(np.abs(val).max())
-
     def hessian(self, v: np.ndarray):
         """x -> H x, H the exact Hessian of J at the interior vector v; c =
         (p-1) |u(i) - u(j)|^(p-2) w and the diagonal are computed once, here."""
@@ -238,11 +226,15 @@ def residual_original(spec: ProblemSpec, u: VertexFunction) -> float:
                                  - lambda f(x, u(x)) |.
 
     Defined only for u >= 0 on the interior, since f models t >= 0.  The
-    operator reads u at every vertex, nonzero boundary values included.
+    operator is ``calculus.edge_flux`` summed by ``minus_laplacian``; it
+    reads u at every vertex, nonzero boundary values included.
     """
-    g = spec.graph
+    g, k = spec.graph, spec._kernel
     ui = u.values[: g.n_interior]
     if np.any(ui < 0.0):
         x = g.interior[int(np.argmin(ui))]
         raise NegativeArgument(f"u({x}) < 0: the original problem evaluates f at u itself")
-    return spec._kernel.residual(u.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = (minus_laplacian(g, edge_flux(g, spec.p, u))[: k.n]
+               + np.copysign(np.abs(ui) ** k.pm1_int, ui) * k.q - k.lam * k.f.rate_vector(ui))
+    return float(np.abs(val).max())

@@ -77,20 +77,6 @@ class Graph:
     def max_weight(self) -> float:
         return float(self.edges[2].max(initial=0.0))
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """New (rows, cols, w): each edge once per direction, sorted by (row, col)."""
-        ei, ej, w = self.edges
-        order = np.argsort(np.concatenate((ei * self.n_vertices + ej, ej * self.n_vertices + ei)))
-        return tuple(np.concatenate(a)[order] for a in ((ei, ej), (ej, ei), (w, w)))
-
-    @cached_property
-    def ordered_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_pairs()``, read-only, built on first use: the library reads ``edges``."""
-        pairs = self._pairs()
-        for a in pairs:
-            a.setflags(write=False)
-        return pairs
-
 
 @dataclass
 class CheckResult:

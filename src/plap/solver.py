@@ -411,7 +411,9 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     u1 - u0.  Each step sets v <- normalize(v - alpha g_perp / s), where
     g_perp is the part of grad J at the peak orthogonal to v, and backtracks
     alpha until the peak value falls by the Armijo amount; a trial peak is
-    bracketed from s with twice the relative move of the last accepted peak.
+    bracketed from s with twice the relative move of the last accepted peak,
+    and a trial direction equal bit for bit to the last one (always when
+    g_perp = 0) keeps its peak.
     Once the gradient is 1e-1 of its value at u1, one ``_newton`` run from a
     copy is returned if converged, else the loop goes on.  Once it is 1e-4 of
     that value, or no step is accepted, ``_newton`` finishes.  The point is
@@ -449,14 +451,15 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
         gp2 = float(np.dot(g_perp, g_perp))
         if prev is not None:
             alpha = _bb_step(dw := w - prev[0], g_perp - prev[1], float(dw.dot(dw)), alpha)
+        last = b""
         for _ in range(_LMM_BACKTRACKS):
             trial = v - (alpha / s) * g_perp
             trial /= math.sqrt(trial.dot(trial))
-            peak = _peak(spec, base, trial, s, move)
-            if peak is not None:
-                Jc = spec._kernel.energy(peak[1])
-                if Jc < J - _ARMIJO_C * alpha * gp2:
-                    break
+            if trial.tobytes() != last:  # else the same peak, tested at the smaller alpha
+                last, peak = trial.tobytes(), _peak(spec, base, trial, s, move)
+                Jc = None if peak is None else spec._kernel.energy(peak[1])
+            if peak is not None and Jc < J - _ARMIJO_C * alpha * gp2:
+                break
             alpha *= _BACKTRACK
         else:
             break

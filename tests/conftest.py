@@ -39,10 +39,10 @@ def dense_weights(g):
 
 def edge_bytes(spec):
     """(graph, kernel) bytes of the per-edge arrays of one instance: the
-    graph's edge list (with its ordered pairs, if they were built) and the
-    per-edge arrays its evaluation kernel holds without sharing the graph's."""
+    graph's edge list and the per-edge arrays its evaluation kernel holds
+    without sharing the graph's."""
     g, kernel = spec.graph, spec._kernel
-    held = [*g.edges, *vars(g).get("ordered_pairs", ())]
+    held = list(g.edges)
     own = [a for a in vars(kernel).values() if isinstance(a, np.ndarray)
            and a.shape == kernel.ei.shape and not any(np.shares_memory(a, b) for b in held)]
     return sum(a.nbytes for a in held), sum(a.nbytes for a in own)

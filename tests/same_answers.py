@@ -2,9 +2,11 @@
 
 The solves are the 219 benchmark grids (``direct_grid`` and
 ``two_solution_grid`` at the ``grid_direct`` and ``grid_two_solution``
-workload sizes, seeds 0, 7 and 71) and the 600-solve constant-p corpus: the
+workload sizes, seeds 0, 7 and 71), the 600-solve constant-p corpus (the
 first 200 draws of ``random_power_spec(default_rng(123), n_max=12,
-constant_p=True)``, each at 0.5 lambda2, 0.9 lambda2 and its own lambda.
+constant_p=True)``) and the 120-solve per-vertex slice (the first 40 draws of
+``random_power_spec(default_rng(123), n_max=12)``, p drawn per vertex), each
+draw at 0.5 lambda2, 0.9 lambda2 and its own lambda.
 Each line holds the solution kinds, a hash of every solution's point bytes,
 J, the iteration counts and the notes, all through the default ``solve``.
 Two versions give the same answers when the output does not differ:
@@ -41,6 +43,7 @@ GRID_DIRECT = ((8, 24), (16, 36))
 GRID_TWO_SOLUTION = ((3, 5), (5, 5), (8, 1), (12, 2))
 SEEDS = (0, 7, 71)
 CORPUS_DRAWS = 200
+PER_VERTEX_DRAWS = 40
 
 
 def digest(spec: ProblemSpec) -> str:
@@ -65,14 +68,19 @@ def main() -> None:
                 for member in range(count):
                     print(f"{make.__name__}({side}, {seed}, {member}): "
                           f"{digest(make(side, seed, member))}")
+    corpus("corpus", CORPUS_DRAWS, constant_p=True)
+    corpus("per-vertex", PER_VERTEX_DRAWS, constant_p=False)
+
+
+def corpus(name: str, draws: int, constant_p: bool) -> None:
     rng = np.random.default_rng(123)
-    for k in range(CORPUS_DRAWS):
-        spec = random_power_spec(rng, n_max=12, constant_p=True)
+    for k in range(draws):
+        spec = random_power_spec(rng, n_max=12, constant_p=constant_p)
         lambda2 = lambda_thresholds(instance_constants(spec)).lambda2
         for label, lam in (("0.5 lambda2", 0.5 * lambda2), ("0.9 lambda2", 0.9 * lambda2),
                            ("own lambda", spec.lam)):
             at = ProblemSpec(spec.graph, spec.p, spec.q, spec.f, lam)
-            print(f"corpus {k} at {label}: {digest(at)}")
+            print(f"{name} {k} at {label}: {digest(at)}")
 
 
 def _answers(path: str) -> dict[str, list[str]]:

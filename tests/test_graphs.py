@@ -243,7 +243,7 @@ def test_edges_hold_each_input_edge_once_in_key_order():
         for variant in ([(b, a, wv) for a, b, wv in edges], edges[::-1]):
             again = build_graph(interior, boundary, variant)
             assert all(x.tobytes() == y.tobytes() for x, y in zip(again.edges, g.edges))
-        assert "ordered_pairs" not in vars(g)
+        assert set(vars(g)) == {"interior", "boundary", "edges"}  # nothing cached
 
 
 def test_uniform_p_solves_build_no_ordered_pairs():
@@ -258,26 +258,6 @@ def test_uniform_p_solves_build_no_ordered_pairs():
         assert not any(a.flags.writeable for a in g.edges)
         assert kernel.ei.flags.writeable and kernel.ej.flags.writeable
         assert kernel.we is g.edges[2]
-
-
-def test_ordered_pairs_hold_each_input_edge_twice_in_row_col_order():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        interior, boundary, edges = random_graph_input(rng)
-        g = build_graph(interior, boundary, edges)
-        rows, cols, w = g.ordered_pairs
-        assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
-        index = {v: i for i, v in enumerate(interior + boundary)}
-        stored = sorted(zip(rows.tolist(), cols.tolist(), w.tolist()))
-        assert stored == sorted([(index[a], index[b], wv) for a, b, wv in edges]
-                                + [(index[b], index[a], wv) for a, b, wv in edges])
-        dense = np.zeros((g.n_vertices, g.n_vertices))
-        for a, b, wv in edges:
-            dense[index[a], index[b]] = dense[index[b], index[a]] = wv
-        assert np.array_equal(dense_weights(g), dense)
-        assert not any(a.flags.writeable for a in g.ordered_pairs)
-        flipped = build_graph(interior, boundary, [(b, a, wv) for a, b, wv in edges[::-1]])
-        assert all(np.array_equal(x, y) for x, y in zip(flipped.ordered_pairs, g.ordered_pairs))
 
 
 def test_grid_64_builds_validates_and_summarizes_in_edge_memory():
@@ -299,7 +279,7 @@ def test_grid_64_builds_validates_and_summarizes_in_edge_memory():
         tracemalloc.stop()
     assert report.passed
     assert summary.n_vertices == side * side + 4 * side
-    assert len(g.edges[0]) == len(edges) and "ordered_pairs" not in vars(g)
+    assert len(g.edges[0]) == len(edges)
     assert peak < 16 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
 
 
@@ -346,7 +326,7 @@ def union_find_connected(n, edges):
 
 
 def both_directions(edges):
-    """(rows, cols) of index pairs as ``Graph.ordered_pairs`` holds them."""
+    """(rows, cols): both directions of each index pair, sorted by (row, col)."""
     heads, tails = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     rows, cols = np.concatenate((heads, tails)), np.concatenate((tails, heads))
     order = np.lexsort((cols, rows))

@@ -195,11 +195,19 @@ def test_gradient_matches_reference_loop(case):
                 assert_close(grad[i], gradient_terms(spec, uv, i))
 
 
+def ordered_pairs(g):
+    """(rows, cols, w): both directions of each edge of ``g.edges``, sorted by
+    (row, col), each with the edge's weight."""
+    ei, ej, w = (a.tolist() for a in g.edges)
+    pairs = sorted([*zip(ei, ej, w), *zip(ej, ei, w)])
+    return tuple(np.array(a) for a in zip(*pairs))
+
+
 def test_uniform_exponent_kernel_holds_one_per_edge_array():
     spec = direct_grid(8, 0, 0)
     kernel = EvaluationKernel(spec)
-    rows, cols, w = spec.graph.ordered_pairs
-    E = len(rows) // 2
+    ei, ej, w = spec.graph.edges
+    E = ei.size
     # one p: a float for every edge and for the interior, p - 1 a 0-d array
     assert type(kernel.p) is float and type(kernel.p_int) is float
     assert kernel.pm1.shape == kernel.pm1_int.shape == ()
@@ -207,20 +215,20 @@ def test_uniform_exponent_kernel_holds_one_per_edge_array():
     arrays = {name: a for name, a in vars(kernel).items() if isinstance(a, np.ndarray)}
     assert [name for name, a in arrays.items() if a.size == E] == ["ei", "ej", "we"]
     assert [name for name, a in arrays.items() if a.size == E and a.dtype.kind == "f"] == ["we"]
-    assert not any(a.size == rows.size for a in arrays.values())
-    # each edge once, as its pair (row, col) with row < col, in pair order
-    upper = rows < cols
-    assert kernel.ei.size == E and (kernel.ei < kernel.ej).all()
-    for got, want in zip((kernel.ei, kernel.ej, kernel.we), (rows[upper], cols[upper], w[upper])):
+    assert not any(a.size == 2 * E for a in arrays.values())
+    # each edge once, as the graph holds it
+    for got, want in zip((kernel.ei, kernel.ej, kernel.we), (ei, ej, w)):
         assert got.tobytes() == want.tobytes()
 
     varied = spec.p.values.copy()
     varied[0] = 4.0
     kernel = EvaluationKernel(ProblemSpec(spec.graph, ExponentField(spec.graph, varied),
                                           spec.q, spec.f, spec.lam))
-    # a per-vertex p: every pair at half its weight, with its row's exponent
+    # a per-vertex p: both directions of each edge, sorted by (row, col), at
+    # half its weight and with its row's exponent
+    rows, cols, wp = ordered_pairs(spec.graph)
     assert kernel.ei.tobytes() == rows.tobytes() and kernel.ej.tobytes() == cols.tobytes()
-    assert (kernel.we == 0.5 * w).all() and (kernel.p == varied[rows]).all()
+    assert (kernel.we == 0.5 * wp).all() and (kernel.p == varied[rows]).all()
     assert (kernel.pm1 == kernel.p - 1.0).all() and kernel.p_int.shape == (spec.graph.n_interior,)
     # no reverse index: the only integer arrays are the edge ends
     assert [name for name, a in vars(kernel).items()
@@ -241,8 +249,7 @@ def test_kernels_scatter_with_writable_indices_of_read_only_graph_arrays():
     assert EvaluationKernel(spec).we is g.edges[2]  # the weights are read, not copied
     assert not any(a.flags.writeable for a in g.edges)
     # the per-vertex kernel builds its pairs itself: the graph caches none
-    assert "ordered_pairs" not in vars(g)
-    assert not any(a.flags.writeable for a in g.ordered_pairs)
+    assert set(vars(g)) <= {"interior", "boundary", "edges", "index"}
 
 
 def test_one_exponent_residual_is_the_gradient_and_pairs_agree_with_edges():
@@ -253,11 +260,13 @@ def test_one_exponent_residual_is_the_gradient_and_pairs_agree_with_edges():
     # With one p the original operator is grad J wherever u >= 0: the same
     # fluxes, summed in the same order, bit for bit (nonzero boundary too).
     uv = rng.uniform(0.0, 1.5, g.n_vertices)
-    assert fast.residual(uv) == float(np.abs(fast.gradient_at(uv)).max())
+    assert uv[n:].any()
+    gradient = float(np.abs(fast.gradient_at(uv)).max())
+    assert residual_original(spec, VertexFunction(g, uv)) == gradient
 
     # The per-vertex layout (every pair at half weight) at this one p gives
     # the edge layout's values; the sums run in another order.
-    rows, cols, w = g.ordered_pairs
+    rows, cols, w = ordered_pairs(g)
     slow = EvaluationKernel(spec)
     slow.ei, slow.ej, slow.we = rows, cols, 0.5 * w
     slow.p, slow.pm1 = np.full(rows.size, 3.0), np.full(rows.size, 2.0)
@@ -267,7 +276,7 @@ def test_one_exponent_residual_is_the_gradient_and_pairs_agree_with_edges():
 
     def results(k):
         return [*k.energy_gradient(stack[0]), *k.energy_gradient(stack), *k.terms(k.full(u)),
-                k.hessian(u)(x), k.residual(k.full(u)), k.spike_energies(0.3, F0)]
+                k.hessian(u)(x), k.spike_energies(0.3, F0)]
 
     for a, b in zip(results(fast), results(slow)):
         np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)

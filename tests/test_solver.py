@@ -207,6 +207,30 @@ def test_mountain_pass_cubic_saddle():
     assert np.max(np.abs(saddle.u.values - low.u.values)) > 1e-6
 
 
+def test_mountain_pass_searches_each_trial_peak_once(monkeypatch):
+    # On one interior vertex g_perp = 0, so every backtracked trial direction
+    # equals the one before it bit for bit: its peak is reused, not searched
+    # again.  Draw 15 of the constant-p corpus has one interior vertex and
+    # two solutions at 0.5 lambda2.
+    rng = np.random.default_rng(123)
+    for _ in range(16):
+        spec = random_power_spec(rng, n_max=12, constant_p=True)
+    lam = 0.5 * lambda_thresholds(instance_constants(spec)).lambda2
+    spec = ProblemSpec(spec.graph, spec.p, spec.q, spec.f, lam)
+    assert spec.graph.n_interior == 1
+    calls = []
+    peak = plap.solver._peak
+
+    def recorded(spec, base, v, s, move=None):
+        calls.append((v.tobytes(), s, move))
+        return peak(spec, base, v, s, move)
+
+    monkeypatch.setattr(plap.solver, "_peak", recorded)
+    rep = solve(spec)
+    assert [pt.kind for pt in rep.solutions] == ["Minimizer", "Saddle"]
+    assert len(calls) > 1 and len(set(calls)) == len(calls)
+
+
 @pytest.mark.parametrize("side, seed, member", [(5, 7, 0), (8, 71, 0), (12, 71, 0), (24, 7, 0)])
 def test_solve_reports_both_solutions_on_two_solution_grids(side, seed, member):
     spec = two_solution_grid(side, seed, member)

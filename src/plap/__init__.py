@@ -71,7 +71,6 @@ from .problem_io import (
     spec_to_document,
 )
 from .solver import (
-    Ball,
     CriticalPoint,
     PositivityReport,
     SolveReport,

@@ -78,11 +78,19 @@ class DirichletFunction(VertexFunction):
     @classmethod
     def from_interior(cls, graph: Graph, interior_values) -> "DirichletFunction":
         vals = np.zeros(graph.n_vertices)
-        vals[: graph.n_interior] = np.asarray(interior_values, dtype=float)
+        vals[: graph.n_interior] = interior_vector(graph, interior_values)
         return cls(graph, vals)
 
     def interior(self) -> np.ndarray:
         return self.values[: self.graph.n_interior]
+
+
+def interior_vector(graph: Graph, values) -> np.ndarray:
+    """A float copy of the values on S; InvariantError for a wrong shape."""
+    v = np.array(values, dtype=float)
+    if v.shape != (graph.n_interior,):
+        raise InvariantError(f"expected {graph.n_interior} interior values, got shape {v.shape}")
+    return v
 
 
 def _as_values(u) -> np.ndarray:

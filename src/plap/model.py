@@ -335,8 +335,8 @@ def check_envelope(n: Nonlinearity, grid=None) -> EnvelopeReport:
     grid = np.linspace(0.0, 20.0, 512) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("empty grid")
-    if not np.all((grid >= 0) & (grid < np.inf)):  # NaN fails both
-        raise DomainError("grid points must be finite and >= 0")
+    if grid.ndim != 1 or not np.all((grid >= 0) & (grid < np.inf)):  # NaN fails both
+        raise DomainError("the grid must be 1-D, its points finite and >= 0")
     report = EnvelopeReport(grid=grid)
     f_slack = 1e-12
     F_slack = 1e-8  # far above the quadrature tolerance (1e-10 absolute, 1e-13 relative)

@@ -35,7 +35,7 @@ from .bounds import (
     lambda_thresholds,
     uniqueness_certificate,
 )
-from .calculus import DirichletFunction
+from .calculus import DirichletFunction, interior_vector
 from .energy import residual_original
 from .errors import (
     ConstructionFailed,
@@ -80,15 +80,7 @@ class SolverOptions:
             raise DomainError(f"rng_seed must be nonnegative, got {self.rng_seed}")
 
 
-# -- norm constraints on the interior vector ---------------------------------
-
-@dataclass(frozen=True)
-class Ball:
-    radius: float
-
-
-Constraint = Ball | None
-
+# -- the ball constraint on the interior vector: a radius, or None for none ----
 
 def _norm(v: np.ndarray) -> float:
     # The sum of squares overflows above about 1e154; math.hypot does not.
@@ -96,57 +88,50 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(s) if s < math.inf else math.hypot(*v)
 
 
-def _project(constraint: Constraint, v: np.ndarray) -> np.ndarray:
-    if constraint is None:
+def _project(radius: float | None, v: np.ndarray) -> np.ndarray:
+    if radius is None:
         return v
     nv = _norm(v)
-    return v if nv <= constraint.radius else v * (constraint.radius / nv)
-
-
-def _feasible(constraint: Constraint, v: np.ndarray) -> bool:
-    if constraint is None:
-        return True
-    return _norm(v) <= constraint.radius * (1 + _FEASIBLE_TOL) + _FEASIBLE_TOL
+    return v if nv <= radius else v * (radius / nv)
 
 
 @dataclass(eq=False)
 class CriticalPoint:
-    u: DirichletFunction
+    """A point of a search, held as its vector v of values on S.  The
+    properties are derived from v on first read; ``solve`` drops most unread."""
+    v: np.ndarray
     value: float
     residual_inf: float            # constraint-appropriate residual
     kind: str                      # "Minimizer" | "Saddle"
-    positive_on_S: bool
-    norm: float
     grad_inf: float                # unconstrained gradient sup-norm
     converged: bool
     iterations: int
     spec: ProblemSpec = field(repr=False)
 
     @functools.cached_property
+    def u(self) -> DirichletFunction:
+        return DirichletFunction.from_interior(self.spec.graph, self.v)
+
+    @functools.cached_property
+    def norm(self) -> float:
+        return math.sqrt(self.v.dot(self.v))
+
+    @functools.cached_property
+    def positive_on_S(self) -> bool:
+        return bool(np.all(self.v > 0.0))
+
+    @functools.cached_property
     def residual_orig(self) -> float | None:
-        """``residual_original`` at u, or None when u < 0 somewhere on S;
-        computed on first read, since ``solve`` drops most points unread."""
-        if not np.all(self.u.interior() >= 0.0):
+        """``residual_original`` at u, or None when u < 0 somewhere on S."""
+        if not np.all(self.v >= 0.0):
             return None
         return residual_original(self.spec, self.u)
 
 
-def _as_point(spec: ProblemSpec, vals_int: np.ndarray, value: float,
-              residual: float, kind: str, converged: bool, iterations: int,
-              grad_inf: float) -> CriticalPoint:
-    u = DirichletFunction.from_interior(spec.graph, vals_int)
-    ui = u.interior()
-    return CriticalPoint(
-        u=u, value=value, residual_inf=residual, kind=kind,
-        positive_on_S=bool(np.all(ui > 0.0)), norm=math.sqrt(ui.dot(ui)),
-        grad_inf=grad_inf, converged=converged, iterations=iterations, spec=spec,
-    )
-
-
-def _residual_measure(constraint: Constraint, v: np.ndarray, g: np.ndarray) -> float:
-    if constraint is None:
+def _residual_measure(radius: float | None, v: np.ndarray, g: np.ndarray) -> float:
+    if radius is None:
         return float(np.abs(g).max())
-    return float(np.abs(v - _project(constraint, v - g)).max())
+    return float(np.abs(v - _project(radius, v - g)).max())
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray, ss: float, default: float) -> float:
@@ -158,11 +143,11 @@ def _bb_step(s: np.ndarray, y: np.ndarray, ss: float, default: float) -> float:
     return default
 
 
-def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
-    """Projected-gradient descent of J from v as a generator: it yields each
-    point x it evaluates (its start and every trial), is sent (J(x), grad
-    J(x)), and returns (v, J, g, residual, converged, iterations) at its last
-    iterate.
+def _descent(radius: float | None, v: np.ndarray, opts: SolverOptions):
+    """Projected-gradient descent of J from v, in the ball of the radius or
+    free for None, as a generator: it yields each point x it evaluates (its
+    start and every trial), is sent (J(x), grad J(x)), and returns (v, J, g,
+    residual, iterations) at its last iterate.
 
     A trial point c with step d = c - v is accepted when J(c) <= max(W) -
     (1e-4/step)|d|^2, W the last 10 accepted J values, the start's included
@@ -175,23 +160,20 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
     J(start) only by slope-test steps within the rounding floor.
     Terminates when the (projected) residual sup-norm drops below grad_tol;
     hitting the iteration budget, a residual plateau, a blow-up or 30 rejected
-    trials returns the last iterate flagged (converged=False) instead of
-    raising."""
-    if not _feasible(constraint, v):
-        raise InfeasibleStart(f"start with norm {_norm(v):.6g} violates {constraint}")
-    v = _project(constraint, v)
+    trials returns the last iterate instead of raising."""
+    if radius is not None and not _norm(v) <= radius * (1 + _FEASIBLE_TOL) + _FEASIBLE_TOL:
+        raise InfeasibleStart(f"start norm {_norm(v):.6g} exceeds the ball radius {radius:.6g}")
+    v = _project(radius, v)
     J, g = yield v
     recent = collections.deque([J], maxlen=_NONMONOTONE_WINDOW)
     prev_g: np.ndarray | None = None  # with s = v - v_prev, the last step, and <s, s>
-    converged = False
     best_residual = math.inf
     since_improved = 0
     last_step = _INIT_STEP
     it = 0
     while it < opts.max_iter:
-        residual = _residual_measure(constraint, v, g)
+        residual = _residual_measure(radius, v, g)
         if residual <= opts.grad_tol:
-            converged = True
             break
         if residual < 0.9 * best_residual:
             best_residual = residual
@@ -209,7 +191,7 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
         for _ in range(30):
             if step < _STEP_MIN:
                 break
-            cand = _project(constraint, v - step * g)
+            cand = _project(radius, v - step * g)
             delta = cand - v
             nd2 = float(delta.dot(delta))
             if nd2 == 0.0:
@@ -229,25 +211,25 @@ def _descent(constraint: Constraint, v: np.ndarray, opts: SolverOptions):
         v, J, g = cand, Jc, gc
         recent.append(J)
         it += 1
-    residual = _residual_measure(constraint, v, g)
-    return v, J, g, residual, converged or residual <= opts.grad_tol, it
+    return v, J, g, _residual_measure(radius, v, g), it
 
 
-def descend_all(spec: ProblemSpec, starts: list[np.ndarray], constraint: Constraint = None,
+def descend_all(spec: ProblemSpec, starts: list[np.ndarray], radius: float | None = None,
                 opts: SolverOptions | None = None) -> list[CriticalPoint]:
-    """The descents ``_descent`` from each interior start vector, run in lock
-    step: each round answers the points of every running descent with one
-    ``energy_gradient`` call on their (K, n) stack.  A descent that stops
-    drops out; once one is left, it calls the kernel on its own vectors.
-    Returns the points in the order of ``starts``; raises InfeasibleStart
-    before any evaluation if a start violates the constraint."""
+    """The descents ``_descent`` from a copy of each interior start vector,
+    in the ball of the radius or free for None, run in lock step: each round
+    answers the points of every running descent with one ``energy_gradient``
+    call on their (K, n) stack.  A descent that stops drops out; once one is
+    left, it calls the kernel on its own vectors.  Returns the points in the
+    order of ``starts``; raises InvariantError (a start of the wrong length)
+    or InfeasibleStart (outside the ball) before any evaluation."""
     opts = opts or SolverOptions()
     energy_gradient = spec._kernel.energy_gradient
-    lanes = [_descent(constraint, np.asarray(s, dtype=float), opts) for s in starts]
+    lanes = [_descent(radius, interior_vector(spec.graph, s), opts) for s in starts]
     ends: list = [None] * len(lanes)
     # For ``_norm``, whose sum of squares may overflow.  Only constrained
     # descents take norms, and numpy ufuncs run slower under an errstate.
-    with np.errstate(over="ignore") if constraint is not None else contextlib.nullcontext():
+    with np.errstate(over="ignore") if radius is not None else contextlib.nullcontext():
         points = [next(lane) for lane in lanes]
         live = list(range(len(lanes)))
         while len(live) > 1:
@@ -265,8 +247,9 @@ def descend_all(spec: ProblemSpec, starts: list[np.ndarray], constraint: Constra
                     x = lane.send(energy_gradient(x))
             except StopIteration as stop:
                 ends[k] = stop.value
-    return [_as_point(spec, v, J, residual, "Minimizer", converged, it, float(np.abs(g).max()))
-            for v, J, g, residual, converged, it in ends]
+    return [CriticalPoint(v, J, residual, "Minimizer", float(np.abs(g).max()),
+                          residual <= opts.grad_tol, it, spec)
+            for v, J, g, residual, it in ends]
 
 
 def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -277,8 +260,9 @@ def _random_direction(rng: np.random.Generator, n: int) -> np.ndarray:
             return d / nd
 
 
-def spike_point(spec: ProblemSpec) -> DirichletFunction:
-    """A single-vertex bump with negative energy strictly inside the small ball.
+def spike_point(spec: ProblemSpec) -> np.ndarray:
+    """A single-vertex bump, as an interior vector, with negative energy
+    strictly inside the small ball.
 
     The first height tried is t0(lambda)/2 (capped below the ball radius);
     because the closed-form t0 can overshoot when the source exponent exceeds
@@ -300,7 +284,7 @@ def spike_point(spec: ProblemSpec) -> DirichletFunction:
         if vals[i_best] < 0.0:
             v = np.zeros(n)
             v[i_best] = t
-            return DirichletFunction.from_interior(spec.graph, v)
+            return v
         if best is None or vals[i_best] < best[0]:
             best = (vals[i_best], t)
         t *= 0.5
@@ -400,12 +384,12 @@ def _peak(spec: ProblemSpec, base: np.ndarray, v: np.ndarray, s: float,
     return t, w, g
 
 
-def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunction,
+def mountain_pass(spec: ProblemSpec, u0: np.ndarray, u1: np.ndarray,
                   opts: SolverOptions | None = None, barrier: float | None = None
                   ) -> CriticalPoint:
     """A saddle point of J by the local minimax method of Li and Zhou (SIAM J.
-    Sci. Comput. 23, 2001) with base point u0, finished by Newton.  The method
-    aims at Morse index 1; the index is not checked.
+    Sci. Comput. 23, 2001) from the interior vectors u0 (the base point) and
+    u1, finished by Newton.  It aims at Morse index 1, which is not checked.
 
     The peak of J along the ray u0 + s v starts from the direction v of
     u1 - u0.  Each step sets v <- normalize(v - alpha g_perp / s), where
@@ -419,16 +403,17 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     that value, or no step is accepted, ``_newton`` finishes.  The point is
     converged when its gradient sup-norm is at most grad_tol and its J
     reaches ``barrier`` (the sphere bound, which no minimizer in the small
-    ball can reach).  Raises ScanExhausted when the start ray has no peak.
+    ball can reach).  Raises InvariantError, before any evaluation, for a u0
+    or u1 of the wrong length, and ScanExhausted when the ray has no peak.
     """
     opts = opts or SolverOptions()
-    base = u0.interior().copy()
-    v = u1.interior() - base
+    base, u1 = interior_vector(spec.graph, u0), interior_vector(spec.graph, u1)
+    v = u1 - base
     s = math.sqrt(v.dot(v))
     if s == 0.0:
         raise DomainError("the start direction u1 - u0 is zero")
     v = v / s
-    g_first = float(np.abs(spec._kernel.gradient(u1.interior())).max())
+    g_first = float(np.abs(spec._kernel.gradient(u1)).max())
     peak = _peak(spec, base, v, s)
     if peak is None:
         raise ScanExhausted(f"no peak of J along the start ray within {_SCAN_STEPS} doublings")
@@ -446,7 +431,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
             gn_inf = float(np.abs(gn).max())
             Jn = spec._kernel.energy(wn) if steps and gn_inf <= opts.grad_tol else J
             if gn_inf <= opts.grad_tol and (barrier is None or Jn >= barrier):
-                return _as_point(spec, wn, Jn, gn_inf, "Saddle", True, it + steps, gn_inf)
+                return CriticalPoint(wn, Jn, gn_inf, "Saddle", gn_inf, True, it + steps, spec)
         g_perp = g - float(np.dot(g, v)) * v
         gp2 = float(np.dot(g_perp, g_perp))
         if prev is not None:
@@ -471,7 +456,7 @@ def mountain_pass(spec: ProblemSpec, u0: DirichletFunction, u1: DirichletFunctio
     J = spec._kernel.energy(w) if steps else J
     g_inf = float(np.abs(g).max())
     converged = g_inf <= opts.grad_tol and (barrier is None or J >= barrier)
-    return _as_point(spec, w, J, g_inf, "Saddle", converged, it + steps, g_inf)
+    return CriticalPoint(w, J, g_inf, "Saddle", g_inf, converged, it + steps, spec)
 
 
 @dataclass
@@ -522,13 +507,8 @@ class SolveReport:
 def _dedupe(points: list[CriticalPoint]) -> list[CriticalPoint]:
     kept: list[CriticalPoint] = []
     for pt in points:
-        dup = False
-        for other in kept:
-            scale = 1.0 + max(pt.norm, other.norm)
-            if float(np.abs(pt.u.values - other.u.values).max()) <= 1e-7 * scale:
-                dup = True
-                break
-        if not dup:
+        if not any(np.abs(pt.v - other.v).max() <= 1e-7 * (1.0 + max(pt.norm, other.norm))
+                   for other in kept):
             kept.append(pt)
     return kept
 
@@ -573,13 +553,13 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
     def critical(pt: CriticalPoint) -> bool:
         return pt.converged and pt.grad_inf <= opts.grad_tol
 
-    def origin_first(certified: bool, shortcut, constraint: Constraint, others):
+    def origin_first(certified: bool, shortcut, ball: float | None, others):
         # The origin and the starts others() descend as one batch, the origin first.
         # A certified origin runs alone first; if shortcut accepts it, nothing else runs.
         if not certified:
-            return descend_all(spec, [np.zeros(n)] + others(), constraint, opts)
-        zero = descend_all(spec, [np.zeros(n)], constraint, opts)
-        return zero if shortcut(zero[0]) else zero + descend_all(spec, others(), constraint, opts)
+            return descend_all(spec, [np.zeros(n)] + others(), ball, opts)
+        zero = descend_all(spec, [np.zeros(n)], ball, opts)
+        return zero if shortcut(zero[0]) else zero + descend_all(spec, others(), ball, opts)
 
     two_solution = regime.has(RegimeTag.TWO_SOLUTIONS) or regime.has(RegimeTag.TWO_SOLUTIONS_KKT)
     ball_regime = two_solution or regime.has(RegimeTag.EKELAND)
@@ -599,7 +579,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             restarts = [_random_direction(rng, n) * radius * rng.uniform(0.05, 0.95)
                         for _ in range(opts.restarts)]
             try:
-                return [spike_point(spec).interior()] + restarts
+                return [spike_point(spec)] + restarts
             except ConstructionFailed as exc:
                 notes.append(f"spike construction failed: {exc}")
                 return restarts
@@ -607,7 +587,7 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
         # J(0) = 0, so J < 0 also rejects a descent stalled at u = 0.
         ball_points = origin_first(ball_convexity.certified,
                                    lambda pt: inside(pt) and pt.value < 0.0,
-                                   Ball(radius), spike_and_restarts)
+                                   radius, spike_and_restarts)
         interior_ok = [pt for pt in ball_points if inside(pt)]
         best = None
         if interior_ok:
@@ -622,9 +602,8 @@ def solve(spec: ProblemSpec, opts: SolverOptions | None = None,
             )
         if two_solution:
             try:
-                u_low = best.u if best is not None else DirichletFunction.zeros(spec.graph)
-                u_up = DirichletFunction.from_interior(spec.graph, u_low.interior() + 1.0)
-                saddle = mountain_pass(spec, u_low, u_up, opts=opts, barrier=sphere_bound)
+                low = best.v if best is not None else np.zeros(n)
+                saddle = mountain_pass(spec, low, low + 1.0, opts=opts, barrier=sphere_bound)
                 candidates.append(saddle)
             except ScanExhausted as exc:
                 notes.append(f"mountain-pass construction failed: {exc}")

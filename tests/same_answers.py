@@ -23,7 +23,8 @@ in J among them; it exits 1 when it printed a line:
     PYTHONPATH=src python tests/same_answers.py --compare before.txt after.txt
 
 The last bit of a point depends on the machine's numpy and libm, so compare
-outputs made on one machine.  It runs in 6-10 s on one core of a 2-vCPU Xeon.
+outputs made on one machine.  It runs in about 25-30 s on one core of a
+2-vCPU Xeon.
 """
 
 from __future__ import annotations

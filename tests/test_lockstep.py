@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 import plap.solver
 from plap import (
     ArctanPower,
-    Ball,
     CustomNonlinearity,
     ExponentField,
     Potential,
@@ -127,11 +126,11 @@ def test_lock_step_descents_match_single_descents(spec, k):
     opts = SolverOptions(max_iter=300)
     stack = _stack(spec, k)
     norms = np.sqrt((stack * stack).sum(axis=1))[:, None]
-    constraint, starts = Ball(1.0), stack * (0.9 / norms.max())
-    batch = descend_all(spec, list(starts), constraint, opts)
+    radius, starts = 1.0, stack * (0.9 / norms.max())
+    batch = descend_all(spec, list(starts), radius, opts)
     assert len(batch) == k
     for start, pt in zip(starts, batch):
-        one = descend_all(spec, [start], constraint, opts)[0]
+        one = descend_all(spec, [start], radius, opts)[0]
         if spec.graph.n_interior > 1:
             assert pt.u.values.tobytes() == one.u.values.tobytes()
             assert (pt.value, pt.residual_inf, pt.grad_inf, pt.converged, pt.iterations) == \
@@ -199,7 +198,7 @@ def test_descend_all_checks_every_start_before_evaluating(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     starts = [np.zeros(3), np.full(3, 2.0)]
     with pytest.raises(InfeasibleStart):
-        descend_all(spec, starts, Ball(1.0))
+        descend_all(spec, starts, 1.0)
     assert calls == {name: [] for name in KINDS}
     assert descend_all(spec, []) == []
 
@@ -212,9 +211,9 @@ def test_descent_evaluates_each_accepted_point_in_one_kernel_call(monkeypatch):
     _on_kernel_calls(monkeypatch, lambda name, v: points.append((name, v.tobytes())))
     project = plap.solver._project
 
-    def counting(constraint, v):  # the start and every trial pass through here
+    def counting(radius, v):  # the start and every trial pass through here
         trials.append(None)
-        return project(constraint, v)
+        return project(radius, v)
 
     monkeypatch.setattr(plap.solver, "_project", counting)
     pt = descend_all(spec, [np.zeros(spec.graph.n_interior)])[0]

@@ -138,7 +138,8 @@ def test_power_plus_exact_envelope_clean():
     assert report.passed
 
 
-@pytest.mark.parametrize("grid", [[np.nan, 1.0], [np.inf], [0.0, -np.inf], [-1.0, 2.0]])
+@pytest.mark.parametrize("grid", [[np.nan, 1.0], [np.inf], [0.0, -np.inf], [-1.0, 2.0],
+                                  5.0, [[0.0, 1.0], [2.0, 3.0]]])
 def test_check_envelope_rejects_grid_points_that_are_not_finite_and_nonnegative(grid):
     f = PowerPlus(make_path_graph(), 1.0, 4.0, 0.1)
     with pytest.raises(DomainError, match="finite and >= 0"):

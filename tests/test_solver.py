@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import plap.solver
 from plap import (
-    Ball,
     DirichletFunction,
     ExponentField,
     Potential,
@@ -31,7 +30,7 @@ from plap import (
     verify_positive,
 )
 from plap.energy import EvaluationKernel
-from plap.errors import DomainError, GammaTooSmall, InfeasibleStart, ScanExhausted
+from plap.errors import DomainError, GammaTooSmall, InfeasibleStart, InvariantError, ScanExhausted
 from plap.reporting import solve_report_document
 
 from conftest import (
@@ -85,8 +84,8 @@ def test_descent_accepts_a_rise_in_J_below_the_window_maximum():
     # values (Grippo, Lampariello and Lucidi), not against the current one.
     spec = parse_problem(fixture_path("triangle_pendant.json"))
     zero = DirichletFunction.zeros(spec.graph)
-    ball = Ball(spec.graph.n_vertices ** -0.5)
-    Js = [0.0] + [descend(spec, zero, ball, SolverOptions(max_iter=k)).value
+    radius = spec.graph.n_vertices ** -0.5
+    Js = [0.0] + [descend(spec, zero, radius, SolverOptions(max_iter=k)).value
                   for k in range(1, 21)]
     rises = [k for k in range(1, 21) if Js[k] > Js[k - 1] + _floor(Js[k - 1])]
     assert rises
@@ -121,13 +120,43 @@ def test_descend_infeasible_start():
     spec = cubic_star_spec()
     u = DirichletFunction.from_interior(spec.graph, [5.0])
     with pytest.raises(InfeasibleStart):
-        descend(spec, u, Ball(1.0), FAST)
+        descend(spec, u, 1.0, FAST)
+
+
+_WRONG_SHAPE_ENTRIES = {
+    "from_interior": lambda spec, x: DirichletFunction.from_interior(spec.graph, x),
+    "descend_all": lambda spec, x: descend_all(spec, [np.zeros(1), x]),
+    "mountain_pass u0": lambda spec, x: mountain_pass(spec, x, np.ones(1)),
+    "mountain_pass u1": lambda spec, x: mountain_pass(spec, np.zeros(1), x),
+}
+
+
+@pytest.mark.parametrize("entry", list(_WRONG_SHAPE_ENTRIES))
+@pytest.mark.parametrize("values", [[[1.0]], [1.0, 2.0], [], 1.0],
+                         ids=["(1, 1)", "(2,)", "(0,)", "scalar"])
+def test_interior_vectors_of_the_wrong_shape_are_rejected_before_any_evaluation(
+        monkeypatch, entry, values):
+    # cubic_path has one interior vertex: every interior vector is of shape (1,).
+    spec = parse_problem(fixture_path("cubic_path.json"))
+    calls = []
+
+    def recording(method):
+        def wrapped(kernel, v):
+            calls.append(v)
+            return method(kernel, v)
+        return wrapped
+
+    for name in ("energy", "gradient", "energy_gradient"):
+        monkeypatch.setattr(EvaluationKernel, name, recording(getattr(EvaluationKernel, name)))
+    with pytest.raises(InvariantError, match=r"expected 1 interior values, got shape"):
+        _WRONG_SHAPE_ENTRIES[entry](spec, values)
+    assert calls == []
 
 
 def test_ball_descent_respects_constraint():
     spec = cubic_star_spec(lam=0.4)
     r = 3.0 ** -0.5
-    pt = descend(spec, DirichletFunction.zeros(spec.graph), Ball(r), FAST)
+    pt = descend(spec, DirichletFunction.zeros(spec.graph), r, FAST)
     assert pt.norm <= r * (1 + 1e-12)
     assert pt.converged
     assert pt.u.value("v1") == pytest.approx(0.013333649405, abs=1e-9)
@@ -137,16 +166,16 @@ def test_spike_point_cubic():
     spec = cubic_star_spec(lam=0.4)
     th = lambda_thresholds(instance_constants(spec))
     assert th.t0(0.4) == 1.0
-    u = spike_point(spec)
-    assert energy_value(spec, u) < 0.0
-    assert np.linalg.norm(u.interior()) < th.omega_radius
-    assert np.count_nonzero(u.interior()) == 1
+    v = spike_point(spec)
+    assert energy_value(spec, DirichletFunction.from_interior(spec.graph, v)) < 0.0
+    assert np.linalg.norm(v) < th.omega_radius
+    assert np.count_nonzero(v) == 1
 
 
 def test_spike_point_beyond_lambda2_still_tries():
     spec = cubic_star_spec(lam=0.6)  # above lambda2 ~ 0.4348
-    u = spike_point(spec)
-    assert energy_value(spec, u) < 0.0
+    v = spike_point(spec)
+    assert energy_value(spec, DirichletFunction.from_interior(spec.graph, v)) < 0.0
 
 
 def test_mountain_pass_exhausts_on_coercive_landscape():
@@ -155,9 +184,8 @@ def test_mountain_pass_exhausts_on_coercive_landscape():
     spec = ProblemSpec(graph=g, p=ExponentField.constant(g, 4.0),
                        q=Potential.constant(g, 1.0),
                        f=PowerPlus(g, 1.0, 3.0, 1.0), lam=1e-8)
-    zero = DirichletFunction.zeros(g)
     with pytest.raises(ScanExhausted):
-        mountain_pass(spec, zero, DirichletFunction.from_interior(g, [1.0]), FAST)
+        mountain_pass(spec, np.zeros(1), np.array([1.0]), FAST)
 
 
 def hill_energy_bound(spec, xi):
@@ -193,10 +221,10 @@ def test_mountain_pass_cubic_saddle():
     spec = cubic_star_spec(lam=0.4)
     roots = bisect_roots(scalar_equation(spec))
     assert len(roots) == 2
-    low = descend(spec, DirichletFunction.zeros(spec.graph), Ball(3.0 ** -0.5), FAST)
+    low = descend(spec, DirichletFunction.zeros(spec.graph), 3.0 ** -0.5, FAST)
     barrier = lambda_thresholds(instance_constants(spec)).sphere_lower_bound(spec.lam)
-    u1 = DirichletFunction.from_interior(spec.graph, low.u.interior() + 1.0)
-    saddle = mountain_pass(spec, low.u, u1, FAST, barrier=barrier)
+    u1 = DirichletFunction.from_interior(spec.graph, low.v + 1.0)
+    saddle = mountain_pass(spec, low.v, u1.interior(), FAST, barrier=barrier)
     assert saddle.converged
     assert saddle.kind == "Saddle"
     assert saddle.u.value("v1") == pytest.approx(roots[1], abs=1e-6)
@@ -352,10 +380,9 @@ def _saddle_search_start(spec):
     """The base point, start point and barrier that ``solve`` hands to
     ``mountain_pass``."""
     radius = instance_constants(spec).n_vertices ** -0.5
-    low = descend(spec, DirichletFunction.zeros(spec.graph), Ball(radius))
-    u1 = DirichletFunction.from_interior(spec.graph, low.u.interior() + 1.0)
+    low = descend(spec, DirichletFunction.zeros(spec.graph), radius)
     barrier = lambda_thresholds(instance_constants(spec)).sphere_lower_bound(spec.lam)
-    return low.u, u1, barrier
+    return low.v, low.v + 1.0, barrier
 
 
 def test_failed_early_newton_attempt_falls_back_to_the_minimax_loop(monkeypatch):
@@ -381,7 +408,7 @@ def test_failed_early_newton_attempt_falls_back_to_the_minimax_loop(monkeypatch)
 def _peak_rays(side):
     """A two-solution grid and the base point of its saddle search."""
     spec = two_solution_grid(side, 7, 0)
-    return spec, _saddle_search_start(spec)[0].interior()
+    return spec, _saddle_search_start(spec)[0]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -503,14 +530,14 @@ def test_solve_sphere_estimate_recorded():
 
 
 def _counting_descend(monkeypatch):
-    """Record the constraint of every descent (one per start) that runs
-    through ``descend_all``, the entry point of ``solve``."""
+    """Record the ball radius (None for a free descent) of every descent (one
+    per start) that runs through ``descend_all``, the entry point of ``solve``."""
     calls = []
     descend_all = plap.solver.descend_all
 
-    def counting(problem, starts, constraint=None, *args, **kwargs):
-        calls.extend([constraint] * len(starts))
-        return descend_all(problem, starts, constraint, *args, **kwargs)
+    def counting(problem, starts, radius=None, *args, **kwargs):
+        calls.extend([radius] * len(starts))
+        return descend_all(problem, starts, radius, *args, **kwargs)
 
     monkeypatch.setattr(plap.solver, "descend_all", counting)
     return calls
@@ -522,18 +549,17 @@ def test_solve_runs_no_sphere_descents(monkeypatch, restarts):
     # form.  On a convex ball the descent from the origin is the only one;
     # otherwise the spike, the origin and every random start run.
     calls = _counting_descend(monkeypatch)
-    rep = solve(cubic_star_spec(lam=0.4), SolverOptions(restarts=restarts))
+    spec = cubic_star_spec(lam=0.4)
+    rep = solve(spec, SolverOptions(restarts=restarts))
     assert rep.ball_convexity.certified
     assert len(rep.solutions) == 2
-    assert len(calls) == 1
-    assert isinstance(calls[0], Ball)
+    assert calls == [instance_constants(spec).n_vertices ** -0.5]
 
     calls.clear()
     spec = parse_problem(fixture_path("triangle_pendant.json"))
     rep = solve(spec, SolverOptions(restarts=restarts))
     assert rep.regime.has(RegimeTag.EKELAND) and not rep.ball_convexity.certified
-    assert len(calls) == 2 + restarts
-    assert all(isinstance(c, Ball) for c in calls)
+    assert calls == [instance_constants(spec).n_vertices ** -0.5] * (2 + restarts)
 
 
 def test_solve_deterministic_given_seed():
@@ -612,17 +638,21 @@ def test_solver_energy_and_gradient_are_the_api_formulas_bit_for_bit():
             assert grad.tobytes() == gradient_residual(spec, u).interior().tobytes()
 
 
-def test_descend_constructions_do_not_grow_with_iterations(monkeypatch):
-    from plap.calculus import DirichletFunction as DF
-
+def _count_dirichlet_functions(monkeypatch) -> list:
+    """A list that grows by one at every DirichletFunction construction."""
     counted = []
-    check = DF.__post_init__
+    check = DirichletFunction.__post_init__
 
     def counting(self):
         counted.append(1)
         check(self)
 
-    monkeypatch.setattr(DF, "__post_init__", counting)
+    monkeypatch.setattr(DirichletFunction, "__post_init__", counting)
+    return counted
+
+
+def test_descend_constructions_do_not_grow_with_iterations(monkeypatch):
+    counted = _count_dirichlet_functions(monkeypatch)
     spec = one_formula_specs()[0]
     u0 = DirichletFunction.from_interior(spec.graph, np.full(spec.graph.n_interior, 3.0))
     per_run = []
@@ -632,6 +662,17 @@ def test_descend_constructions_do_not_grow_with_iterations(monkeypatch):
         assert pt.iterations == budget
         per_run.append(len(counted))
     assert per_run[0] == per_run[1] <= 2, per_run
+
+
+@pytest.mark.parametrize("name", ["triangle_pendant", "triangle_pendant_steep"])
+def test_solve_builds_one_dirichlet_function_per_reported_solution(monkeypatch, name):
+    # The searches trade interior vectors; only a reported point is read as a
+    # DirichletFunction (19 and 21 constructions per solve when every
+    # descent's point was built as one).
+    spec = parse_problem(fixture_path(f"{name}.json"))
+    counted = _count_dirichlet_functions(monkeypatch)
+    rep = solve(spec)
+    assert len(counted) == len(rep.solutions) == 1
 
 
 def _resonant_path(rng, fraction):
@@ -804,7 +845,7 @@ def test_spike_point_picks_the_vertex_and_height_of_the_per_vertex_scan():
         lam2 = lambda_thresholds(instance_constants(base)).lambda2
         specs.append(ProblemSpec(g, base.p, base.q, base.f, 0.5 * lam2))
     for spec in specs:
-        assert np.array_equal(spike_point(spec).interior(), _spike_by_scan(spec))
+        assert np.array_equal(spike_point(spec), _spike_by_scan(spec))
 
 
 # -- uniqueness certificate -------------------------------------------------------
@@ -904,12 +945,12 @@ def _ball_search_by_hand(spec, opts):
     n = spec.graph.n_interior
     restarts = [plap.solver._random_direction(rng, n) * radius * rng.uniform(0.05, 0.95)
                 for _ in range(opts.restarts)]
-    spike, ball = spike_point(spec).interior(), Ball(radius)
+    spike = spike_point(spec)
     if ball_convexity_certificate(spec, radius).certified:
-        points = [descend(spec, DirichletFunction.zeros(spec.graph), ball, opts)]
-        points += descend_all(spec, [spike] + restarts, ball, opts)
+        points = [descend(spec, DirichletFunction.zeros(spec.graph), radius, opts)]
+        points += descend_all(spec, [spike] + restarts, radius, opts)
     else:
-        points = descend_all(spec, [np.zeros(n), spike] + restarts, ball, opts)
+        points = descend_all(spec, [np.zeros(n), spike] + restarts, radius, opts)
     inside = [pt for pt in points if pt.converged and pt.grad_inf <= opts.grad_tol
               and pt.norm < radius * (1 - 1e-9)]
     return points, inside
